@@ -467,43 +467,3 @@ def test_bench_sweep_eval_reuse_2arms(benchmark, fast_context):
     context.restore_pretrained()
     assert len(arms) == 2 and all(len(arm) == len(mask_sets) for arm in arms)
 
-
-# ---------------------------------------------------------------------------
-# Compute-backend replay: reference vs fused
-# ---------------------------------------------------------------------------
-
-
-def _backend_eval_benchmark(benchmark, context, backend):
-    """Repeated batched evaluation through a warmed graph-cache replay."""
-    from repro.accelerator.batched import BatchedFaultEvaluator
-
-    context.restore_pretrained()
-    mask_sets = _population_mask_sets(context, num_chips=8)
-    evaluator = BatchedFaultEvaluator(context.model, mask_sets, backend=backend)
-    batch = RNG.standard_normal((64,) + context.bundle.input_shape).astype(np.float32)
-    evaluator.evaluate_logits(batch)  # capture + compile outside the timed region
-    logits = benchmark(evaluator.evaluate_logits, batch)
-    assert logits.shape[0] == len(mask_sets)
-
-
-def test_bench_backend_eval_reference(benchmark, fast_context):
-    """Replay baseline: the ``numpy`` reference backend (bit-identical)."""
-    _backend_eval_benchmark(benchmark, fast_context, "numpy")
-
-
-def test_bench_backend_eval_fused(benchmark, fast_context):
-    """Fused-backend comparator for the reference replay above.
-
-    Only meaningful against the JIT-compiled kernels: without numba the
-    fused backend runs interpreted, so the pair would compare two numpy
-    paths.  Skipping (rather than failing) keeps the benchmark suite —
-    and its >30% regression gate — usable in minimal environments.
-    """
-    from repro.backends import get_backend, numba_available
-
-    if not numba_available():
-        pytest.skip(
-            "numba unavailable: fused backend runs interpreted, skipping the "
-            "JIT benchmark (install numba to measure the fused speedup)"
-        )
-    _backend_eval_benchmark(benchmark, fast_context, get_backend("fused"))

@@ -73,8 +73,6 @@ from repro.nn.functional import (
     im2col_t,
 )
 from repro.nn.tensor import Function, is_grad_enabled
-from repro.backends import ChainCache, recorded, resolve_backend
-from repro.backends.registry import Backend
 from repro.observability import metrics, trace
 from repro.utils.logging import get_logger
 
@@ -462,7 +460,6 @@ class BatchedFaultEvaluator:
         model: nn.Module,
         mask_sets: Sequence[MaskDict],
         lowering_cache: Optional[LoweringCache] = None,
-        backend: Optional[Union[str, Backend]] = None,
         prefetch: bool = True,
     ) -> None:
         if not mask_sets:
@@ -474,16 +471,6 @@ class BatchedFaultEvaluator:
         self._prefetcher: Optional[_LoweringPrefetcher] = None
         self._prefetch_probe: Optional[np.ndarray] = None
         self._eval_batch_size: Optional[int] = None
-        # Captured-graph execution: None keeps the historical purely-eager
-        # path.  The chain cache must not outlive this evaluator — captured
-        # graphs freeze the model's buffer *objects* (weights are read live),
-        # and the evaluator contract already pins those for its lifetime.
-        self._backend = resolve_backend(backend)
-        self._chain_cache = (
-            ChainCache(self._backend, name="eval.forward")
-            if self._backend is not None
-            else None
-        )
         # Index of the eval batch currently in flight (None outside
         # evaluate_accuracy: inputs of unknown identity are never cached).
         self._batch_index: Optional[int] = None
@@ -554,134 +541,60 @@ class BatchedFaultEvaluator:
         out = gemm_input @ layer.wide_weights()  # (P, B * N_out)
         return out.reshape(rows, self.num_chips, -1).transpose(1, 0, 2)
 
-    # Each hot step below executes through :func:`recorded` so an active
-    # graph capture sees the evaluator as a chain of named IR nodes
-    # (``eval.im2col -> eval.gemm -> eval.bias -> eval.fold_*``).  Outside a
-    # capture, ``recorded`` is a direct call — the eager path is unchanged.
+    def _folded_gemm(self, data: np.ndarray, layer: _BatchedLayer) -> np.ndarray:
+        """Folded-suffix GEMM: ``(B * P, K)`` rows against per-chip weights."""
+        per_chip = data.shape[0] // self.num_chips
+        return np.matmul(data.reshape(self.num_chips, per_chip, data.shape[1]), layer.stacked_t)
 
-    def _gemm_kernel(self, layer: _BatchedLayer, shared: bool):
-        if shared:
-            return lambda data: self._expand_shared(data, layer)
-
-        def folded_gemm(data: np.ndarray) -> np.ndarray:
-            per_chip = data.shape[0] // self.num_chips
-            return np.matmul(
-                data.reshape(self.num_chips, per_chip, data.shape[1]), layer.stacked_t
-            )
-
-        return folded_gemm
-
-    @staticmethod
-    def _bias_kernel(module: nn.Module):
-        def add_bias(out: np.ndarray) -> np.ndarray:
-            out += module.bias.data
-            return out
-
-        return add_bias
+    def _gemm(self, data: np.ndarray, layer: _BatchedLayer, shared: bool) -> np.ndarray:
+        out = self._expand_shared(data, layer) if shared else self._folded_gemm(data, layer)
+        if layer.module.bias is not None:
+            out += layer.module.bias.data
+        return out
 
     def _linear_forward(self, layer: _BatchedLayer):
         def forward(x: nn.Tensor) -> nn.Tensor:
             data = x.data
             if data.ndim != 2:
-                data = recorded(
-                    "eval.flatten", (data,), lambda d: d.reshape(d.shape[0], -1)
-                )
+                data = data.reshape(data.shape[0], -1)
             shared = self._shared_prefix
             self._shared_prefix = False
-            out = recorded(
-                "eval.gemm",
-                (data,),
-                self._gemm_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
-            )
-            if layer.module.bias is not None:
-                out = recorded(
-                    "eval.bias",
-                    (out,),
-                    self._bias_kernel(layer.module),
-                    attrs={"module": layer.module},
-                )
-            out = recorded(
-                "eval.fold2d", (out,), lambda o: o.reshape(o.shape[0] * o.shape[1], -1)
-            )
-            return nn.Tensor(out)
+            out = self._gemm(data, layer, shared)
+            return nn.Tensor(out.reshape(out.shape[0] * out.shape[1], -1))
 
         return forward
 
-    def _im2col_kernel(self, layer: _BatchedLayer, shared: bool):
+    def _lower_cols(self, data: np.ndarray, layer: _BatchedLayer, shared: bool) -> np.ndarray:
         module = layer.module
-
-        def lower_cols(data: np.ndarray) -> np.ndarray:
-            lower = lambda: im2col(data, module.kernel_size, module.stride, module.padding)
-            # ``_batch_index`` is read at call time (not capture time) so a
-            # replayed graph consults the lowering cache for the batch that
-            # is actually in flight.
-            if shared and self._lowering_cache is not None and self._batch_index is not None:
-                prefetcher = self._prefetcher
-                if prefetcher is not None and data is self._prefetch_probe:
-                    # The raw input batch reaches this layer unchanged, so
-                    # upcoming batches can be lowered off-thread faithfully.
-                    prefetcher.offer_recipe(
-                        "im2col",
-                        layer.name,
-                        self._eval_batch_size,
-                        lambda d: im2col(
-                            d, module.kernel_size, module.stride, module.padding
-                        ),
-                    )
-                cols, _, _ = self._lowering_cache.get_or_compute(
-                    ("im2col", layer.name, self._eval_batch_size, self._batch_index),
-                    lower,
-                )
-            else:
-                cols, _, _ = lower()
-            return cols
-
-        return lower_cols
-
-    @staticmethod
-    def _fold_nchw_kernel(out_h: int, out_w: int):
-        def fold(out: np.ndarray) -> np.ndarray:
-            folded = out.shape[0] * out.shape[1] // (out_h * out_w)
-            return np.ascontiguousarray(
-                out.reshape(folded, out_h, out_w, -1).transpose(0, 3, 1, 2)
+        lower = lambda: im2col(data, module.kernel_size, module.stride, module.padding)
+        if not (shared and self._lowering_cache is not None and self._batch_index is not None):
+            return lower()[0]
+        prefetcher = self._prefetcher
+        if prefetcher is not None and data is self._prefetch_probe:
+            # The raw input batch reaches this layer unchanged, so upcoming
+            # batches can be lowered off-thread faithfully.
+            prefetcher.offer_recipe(
+                "im2col",
+                layer.name,
+                self._eval_batch_size,
+                lambda d: im2col(d, module.kernel_size, module.stride, module.padding),
             )
-
-        return fold
+        cols, _, _ = self._lowering_cache.get_or_compute(
+            ("im2col", layer.name, self._eval_batch_size, self._batch_index), lower
+        )
+        return cols
 
     def _conv_forward(self, layer: _BatchedLayer):
         def forward(x: nn.Tensor) -> nn.Tensor:
-            module = layer.module
             data = x.data
             shared = self._shared_prefix
             self._shared_prefix = False
-            out_h, out_w = _conv_output_hw(data.shape, module)
-            cols = recorded(
-                "eval.im2col",
-                (data,),
-                self._im2col_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
+            out_h, out_w = _conv_output_hw(data.shape, layer.module)
+            out = self._gemm(self._lower_cols(data, layer, shared), layer, shared)
+            folded = out.shape[0] * out.shape[1] // (out_h * out_w)
+            return nn.Tensor(
+                np.ascontiguousarray(out.reshape(folded, out_h, out_w, -1).transpose(0, 3, 1, 2))
             )
-            out = recorded(
-                "eval.gemm",
-                (cols,),
-                self._gemm_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
-            )
-            if module.bias is not None:
-                out = recorded(
-                    "eval.bias",
-                    (out,),
-                    self._bias_kernel(module),
-                    attrs={"module": module},
-                )
-            out = recorded(
-                "eval.fold_nchw",
-                (out,),
-                self._fold_nchw_kernel(out_h, out_w),
-                attrs={"out_h": out_h, "out_w": out_w},
-            )
-            return nn.Tensor(out)
 
         return forward
 
@@ -712,25 +625,11 @@ class BatchedFaultEvaluator:
         """Logits for one (shared) input batch under every chip: (B, n, C)."""
         self._shared_prefix = True
         logits = self.model(nn.Tensor(inputs)).data
-        chips = self.num_chips
         if self._shared_prefix:
             # No masked layer executed (empty mask sets): every chip sees the
             # same logits.
-            return recorded(
-                "eval.broadcast_logits",
-                (logits,),
-                lambda l: np.broadcast_to(l[None], (chips,) + l.shape),
-            )
-        n = inputs.shape[0]
-        return recorded(
-            "eval.unfold_logits", (logits,), lambda l: l.reshape(chips, n, -1)
-        )
-
-    def _run_forward(self, inputs: np.ndarray) -> np.ndarray:
-        """One batch through the selected backend (or purely eagerly)."""
-        if self._chain_cache is None:
-            return self._forward_all_chips(inputs)
-        return self._chain_cache.run((inputs,), self._forward_all_chips)
+            return np.broadcast_to(logits[None], (self.num_chips,) + logits.shape)
+        return logits.reshape(self.num_chips, inputs.shape[0], -1)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -741,7 +640,7 @@ class BatchedFaultEvaluator:
         self.model.eval()
         try:
             with nn.no_grad(), self._patched():
-                return self._run_forward(data).copy()
+                return self._forward_all_chips(data).copy()
         finally:
             if was_training:
                 self.model.train()
@@ -773,7 +672,7 @@ class BatchedFaultEvaluator:
                     data_array = inputs.data
                     self._prefetch_probe = data_array
                     n = data_array.shape[0]
-                    logits = self._run_forward(data_array)
+                    logits = self._forward_all_chips(data_array)
                     predictions = logits.argmax(axis=-1)
                     correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
                     total += n
@@ -798,7 +697,6 @@ def evaluate_chip_accuracies(
     batch_size: int = 128,
     chip_chunk: int = DEFAULT_CHIP_CHUNK,
     lowering_cache: Optional[LoweringCache] = None,
-    backend: Optional[Union[str, Backend]] = None,
     prefetch: bool = True,
 ) -> List[float]:
     """Accuracy of ``model`` under each chip's masks, batched in chip chunks.
@@ -827,7 +725,6 @@ def evaluate_chip_accuracies(
             model,
             mask_sets[start:start + chip_chunk],
             lowering_cache=cache,
-            backend=backend,
             prefetch=prefetch,
         )
         accuracies.extend(evaluator.evaluate_accuracy(data, batch_size=batch_size))
@@ -882,8 +779,6 @@ class _StackedLinearFunction(Function):
     ``shared=False``: ``x`` is folded ``(B * n, K)`` and forward/backward are
     stacked batched matmuls whose slices mirror the serial GEMMs exactly.
     """
-
-    capture_name = "stacked_linear"
 
     def forward(
         self,
@@ -1022,8 +917,6 @@ class _StackedConv2dFunction(Function):
     :class:`~repro.nn.functional.Conv2dFunction` does.
     """
 
-    capture_name = "stacked_conv2d"
-
     def forward(
         self,
         x: np.ndarray,
@@ -1132,8 +1025,6 @@ class _StackedNllLossFunction(Function):
     backward from the summed losses is bit-identical to B serial backwards.
     """
 
-    capture_name = "stacked_nll_loss"
-
     def forward(
         self,
         log_probs: np.ndarray,
@@ -1234,8 +1125,6 @@ class _StackedBatchNormFunction(Function):
     the per-chip running-statistics update.
     """
 
-    capture_name = "stacked_batch_norm"
-
     def forward(
         self,
         x: np.ndarray,
@@ -1328,12 +1217,6 @@ class _StackedNormLayer:
     running_var: np.ndarray  # (B, C) float32
 
 
-def _keep_multiplier_kernel(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Keep-multiplier mask enforcement, shared as an IR op kernel."""
-    np.multiply(values, keep, out=values)
-    return values
-
-
 @dataclasses.dataclass
 class _StackedLayer:
     """One parametric layer with its B stacked per-chip weights (and masks)."""
@@ -1346,19 +1229,11 @@ class _StackedLayer:
 
     def enforce_weight(self) -> None:
         if self.keep is not None:
-            recorded(
-                "mask.keep_multiplier",
-                (self.weight.data, self.keep),
-                _keep_multiplier_kernel,
-            )
+            np.multiply(self.weight.data, self.keep, out=self.weight.data)
 
     def enforce_grad(self) -> None:
         if self.keep is not None and self.weight.grad is not None:
-            recorded(
-                "mask.keep_multiplier",
-                (self.weight.grad, self.keep),
-                _keep_multiplier_kernel,
-            )
+            np.multiply(self.weight.grad, self.keep, out=self.weight.grad)
 
 
 # Upper bound on the summed stacked-parameter floats a widened multi-
@@ -1427,7 +1302,6 @@ class BatchedFaultTrainer:
         train_data: Union[Dataset, DataLoader],
         eval_data: Union[Dataset, DataLoader],
         config=None,
-        backend: Optional[Union[str, Backend]] = None,
         lowering_cache: Optional[LoweringCache] = None,
         prefetch: bool = True,
         widened_eval: bool = True,
@@ -1480,17 +1354,6 @@ class BatchedFaultTrainer:
         # Multi-checkpoint GEMM widening: defer per-checkpoint evaluations
         # and run them as one (C * B)-chip stacked pass (see :meth:`train`).
         self._widened_eval = widened_eval
-        # Captured-graph execution of the checkpoint-eval hot path (training
-        # steps always run eagerly: they drive autograd).  Captured eval
-        # graphs read the stacked weights, biases and running statistics
-        # *live*, so replay tracks every optimizer step and mask enforcement
-        # between checkpoints.
-        self._backend = resolve_backend(backend)
-        self._eval_chain_cache = (
-            ChainCache(self._backend, name="fat.eval")
-            if self._backend is not None
-            else None
-        )
 
         self._layers: List[_StackedLayer] = []
         self._norm_layers: List[_StackedNormLayer] = []
@@ -1605,30 +1468,24 @@ class BatchedFaultTrainer:
 
         return forward
 
-    def _eval_lowering_kernel(self, layer: _StackedLayer):
+    def _lower_eval_input(self, data: np.ndarray, layer: _StackedLayer) -> np.ndarray:
         module = layer.module
-
-        def lower_cols(data: np.ndarray) -> np.ndarray:
-            prefetcher = self._prefetcher
-            if prefetcher is not None and data is self._prefetch_probe:
-                # The raw input batch reaches the first stacked layer, so the
-                # lowering is a pure function of the batch: teach the
-                # prefetcher to compute upcoming batches in the background.
-                prefetcher.offer_recipe(
-                    "im2col_t",
-                    layer.name,
-                    self._eval_batch_size,
-                    lambda d: im2col_t(d, module.kernel_size, module.stride, module.padding),
-                )
-            # ``_eval_batch_index`` is read at call time so a replayed graph
-            # consults the lowering cache for the batch actually in flight.
-            cols, _, _ = self._eval_lowering.get_or_compute(
-                ("im2col_t", layer.name, self._eval_batch_size, self._eval_batch_index),
-                lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
+        prefetcher = self._prefetcher
+        if prefetcher is not None and data is self._prefetch_probe:
+            # The raw input batch reaches the first stacked layer, so the
+            # lowering is a pure function of the batch: teach the prefetcher
+            # to compute upcoming batches in the background.
+            prefetcher.offer_recipe(
+                "im2col_t",
+                layer.name,
+                self._eval_batch_size,
+                lambda d: im2col_t(d, module.kernel_size, module.stride, module.padding),
             )
-            return cols
-
-        return lower_cols
+        cols, _, _ = self._eval_lowering.get_or_compute(
+            ("im2col_t", layer.name, self._eval_batch_size, self._eval_batch_index),
+            lambda: im2col_t(data, module.kernel_size, module.stride, module.padding),
+        )
+        return cols
 
     def _conv_forward(self, layer: _StackedLayer):
         def forward(x: nn.Tensor) -> nn.Tensor:
@@ -1642,13 +1499,7 @@ class BatchedFaultTrainer:
                 # (the prefix holds no parametric or stochastic layers), so
                 # its lowering is identical at every checkpoint and cached.
                 out_h, out_w = _conv_output_hw(x.shape, module)
-                cols = recorded(
-                    "fat.eval_lowering",
-                    (x.data,),
-                    self._eval_lowering_kernel(layer),
-                    attrs={"layer": layer},
-                )
-                lowering = (cols, out_h, out_w)
+                lowering = (self._lower_eval_input(x.data, layer), out_h, out_w)
             return _StackedConv2dFunction.apply(
                 x, layer.weight, layer.bias,
                 module.stride, module.padding, self.num_chips, shared, lowering,
@@ -1688,42 +1539,24 @@ class BatchedFaultTrainer:
             # Eval mode: per-chip running statistics as constants, through
             # the same arithmetic helper as the serial eval path (slice for
             # slice bit-identical).  Evaluation runs under no_grad, so no
-            # autograd node is needed.  Recorded as one composite IR node
-            # whose kernel reads the stacked parameters and running
-            # statistics live, so replayed checkpoints see post-step values.
-            out = recorded(
-                "eval.stacked_bn",
-                (x.data,),
-                self._stacked_bn_eval_kernel(layer, shared),
-                attrs={"layer": layer, "shared": shared},
-            )
-            return nn.Tensor(out)
-
-        return forward
-
-    def _stacked_bn_eval_kernel(self, layer: _StackedNormLayer, shared: bool):
-        module = layer.module
-
-        def stacked_bn_eval(data: np.ndarray) -> np.ndarray:
+            # autograd node is needed.
+            data = x.data
             _, param_shape = _bn_axes(data.ndim)
             per_chip = data.shape[0] if shared else data.shape[0] // self.num_chips
-            out = np.empty(
-                (self.num_chips * per_chip,) + data.shape[1:], dtype=data.dtype
-            )
+            out = np.empty((self.num_chips * per_chip,) + data.shape[1:], dtype=data.dtype)
             for chip in range(self.num_chips):
                 fold = slice(chip * per_chip, (chip + 1) * per_chip)
-                x_b = data if shared else data[fold]
                 out[fold] = _bn_eval_forward(
-                    x_b,
+                    data if shared else data[fold],
                     layer.weight.data[chip].reshape(param_shape),
                     layer.bias.data[chip].reshape(param_shape),
                     layer.running_mean[chip].reshape(param_shape),
                     layer.running_var[chip].reshape(param_shape),
                     module.eps,
                 )
-            return out
+            return nn.Tensor(out)
 
-        return stacked_bn_eval
+        return forward
 
     def _dropout_forward(self, module: nn.Module):
         def forward(x: nn.Tensor) -> nn.Tensor:
@@ -1829,29 +1662,15 @@ class BatchedFaultTrainer:
         """Per-chip logits for one eval batch: ``(B, n, classes)``."""
         self._shared_prefix = True
         logits = self.model(nn.Tensor(inputs)).data
-        chips = self.num_chips
         if self._shared_prefix:
             # No stacked layer executed: all chips share logits.
-            return recorded(
-                "eval.broadcast_logits",
-                (logits,),
-                lambda l: np.broadcast_to(l[None], (chips,) + l.shape),
-            )
-        n = inputs.shape[0]
-        return recorded(
-            "eval.unfold_logits", (logits,), lambda l: l.reshape(chips, n, -1)
-        )
+            return np.broadcast_to(logits[None], (self.num_chips,) + logits.shape)
+        return logits.reshape(self.num_chips, inputs.shape[0], -1)
 
     def evaluate(self) -> List[float]:
-        """Per-chip top-1 accuracy on the eval data (mirrors ``Trainer.evaluate``)."""
-        return self._evaluate_batched(chain_cache=self._eval_chain_cache)
+        """Per-chip top-1 accuracy on the eval data (mirrors ``Trainer.evaluate``).
 
-    def _evaluate_batched(self, chain_cache: Optional[ChainCache]) -> List[float]:
-        """One batched eval pass over the (current) stacked weights.
-
-        ``chain_cache`` is the captured-graph cache matching the *current*
-        ``self.num_chips`` — the widened multi-checkpoint pass supplies its
-        own (captured graphs bake the chip count into their kernels).
+        One batched pass over the *current* stacked weights and statistics.
         """
         from repro.training import _as_eval_loader as _training_eval_loader
 
@@ -1877,10 +1696,7 @@ class BatchedFaultTrainer:
                     data = inputs.data
                     self._prefetch_probe = data
                     n = data.shape[0]
-                    if chain_cache is None:
-                        logits = self._eval_forward_all_chips(data)
-                    else:
-                        logits = chain_cache.run((data,), self._eval_forward_all_chips)
+                    logits = self._eval_forward_all_chips(data)
                     predictions = logits.argmax(axis=-1)
                     correct += (predictions == np.asarray(targets)[None, :]).sum(axis=1)
                     total += n
@@ -1931,10 +1747,9 @@ class BatchedFaultTrainer:
     ):
         """Temporarily present other stacked arrays (and chip count) as live.
 
-        The batched forwards — and captured eval graphs, whose parameter
-        references read ``.data`` at replay time — all consult the layer
-        objects live, so swapping the arrays re-points every kernel without
-        re-patching anything.  Restores the training stacks on exit.
+        The batched forwards consult the layer objects live, so swapping the
+        arrays re-points every forward without re-patching anything.
+        Restores the training stacks on exit.
         """
         saved_chips = self.num_chips
         saved_layer = [(layer.weight.data, None if layer.bias is None else layer.bias.data)
@@ -2015,9 +1830,7 @@ class BatchedFaultTrainer:
                 snapshot.norm_means,
                 snapshot.norm_vars,
             ):
-                results.append(
-                    (snapshot, self._evaluate_batched(chain_cache=self._eval_chain_cache))
-                )
+                results.append((snapshot, self.evaluate()))
         return results
 
     def _evaluate_snapshots_widened(
@@ -2051,21 +1864,13 @@ class BatchedFaultTrainer:
             np.concatenate([s.norm_vars[i] for s in snapshots], axis=0)
             for i in range(len(self._norm_layers))
         ]
-        # Captured graphs bake the chip count into their kernels, so the
-        # widened pass must not replay ``_eval_chain_cache`` (captured at B
-        # chips): it captures its own C*B-chip graph.
-        chain_cache = (
-            ChainCache(self._backend, name="fat.eval_widened")
-            if self._backend is not None
-            else None
-        )
         with trace.span(
             "fat.eval_widened", checkpoints=count, chips=base
         ), self._stacks_swapped(
             count * base, layer_weights, layer_biases,
             norm_weights, norm_biases, norm_means, norm_vars,
         ):
-            flat = self._evaluate_batched(chain_cache=chain_cache)
+            flat = self.evaluate()
         return [
             (snapshot, flat[c * base:(c + 1) * base])
             for c, snapshot in enumerate(snapshots)

@@ -256,11 +256,6 @@ class CampaignEngine:
         When a store is used, skip chips whose results are already recorded.
     progress:
         Log one line per completed chip.
-    chunk_size:
-        Retained for backward compatibility (the old pool ``chunksize``).
-        The supervising executor always dispatches one chunk per worker at a
-        time — that is both the resume granularity and the unit of
-        reassignment — so values other than 1 are accepted but ignored.
     disk_cache_dir:
         Forwarded to workers so spawned processes can load the pre-trained
         state from the on-disk context cache instead of re-pre-training.
@@ -291,15 +286,6 @@ class CampaignEngine:
         (tests tune backoff/poll intervals through this).  When given, it is
         used verbatim and ``max_chunk_retries``/``chunk_timeout`` are
         ignored.
-    backend:
-        Compute backend every job is tagged with — the batched substrate
-        (triage sweeps, stacked evaluators and trainers) replays its
-        captured op graphs through it.  ``None`` keeps the eager path;
-        ``"numpy"`` is the always-available reference replay (bit-identical
-        to eager, so it shares fingerprints with it); ``"fused"`` merges hot
-        chains and JIT-compiles them when numba is available, falling back
-        to ``"numpy"`` (with a logged warning) otherwise.  The job carries
-        the tag, so worker processes honour it without extra configuration.
     prefetch:
         Background double-buffering of eval-batch lowerings (``False`` ←
         ``--no-prefetch``): while one batch's stacked GEMMs run, a helper
@@ -339,7 +325,6 @@ class CampaignEngine:
         store_base: Optional[PathLike] = None,
         resume: bool = True,
         progress: bool = False,
-        chunk_size: Optional[int] = None,
         disk_cache_dir: Optional[PathLike] = None,
         fat_batch: Optional[int] = None,
         heartbeat_seconds: Optional[float] = DEFAULT_HEARTBEAT_SECONDS,
@@ -347,7 +332,6 @@ class CampaignEngine:
         chunk_timeout: Optional[float] = None,
         chaos: Optional[Union[str, ChaosSpec]] = None,
         supervisor_config: Optional[SupervisorConfig] = None,
-        backend: Optional[str] = None,
         prefetch: bool = True,
         lowering_cache_mb: Optional[float] = None,
         listen: Optional[Tuple[str, int]] = None,
@@ -361,8 +345,6 @@ class CampaignEngine:
                 raise ValueError(f"jobs must be >= 0 in distributed mode, got {jobs}")
         elif jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if fat_batch is not None and fat_batch < 1:
             raise ValueError(f"fat_batch must be >= 1, got {fat_batch}")
         if heartbeat_seconds is not None and heartbeat_seconds < 0:
@@ -378,12 +360,10 @@ class CampaignEngine:
         self.store_base = Path(store_base) if store_base is not None else None
         self.resume = resume
         self.progress = progress
-        self.chunk_size = chunk_size
         self.disk_cache_dir = str(disk_cache_dir) if disk_cache_dir is not None else None
         self.fat_batch = int(fat_batch) if fat_batch is not None else self.DEFAULT_FAT_BATCH
         self.heartbeat_seconds = heartbeat_seconds
         self.chaos_spec = resolve_chaos(chaos)
-        self.backend = backend
         self.prefetch = bool(prefetch)
         self.lowering_cache_mb = (
             float(lowering_cache_mb) if lowering_cache_mb is not None else None
@@ -410,7 +390,6 @@ class CampaignEngine:
                 preset=context.preset,
                 listen=listen,
                 connect=list(workers or ()),
-                backend=self.backend,
                 fat_batch=self.fat_batch,
                 prefetch=self.prefetch,
                 lowering_cache_mb=self.lowering_cache_mb,
@@ -452,7 +431,6 @@ class CampaignEngine:
             policy=policy.name,
             strategy=strategy.name,
             jobs=self.jobs,
-            backend=self.backend or "eager",
         ) as run_span:
             result = self._run(population, policy, strategy, triage, run_span)
         self._write_observability_artifacts()
@@ -476,9 +454,7 @@ class CampaignEngine:
         )
         with trace.span("campaign.plan", stage="build_jobs"):
             framework = self.context.framework()
-            job_list = build_jobs(
-                framework, population, policy, strategy=strategy, backend=self.backend
-            )
+            job_list = build_jobs(framework, population, policy, strategy=strategy)
             target_accuracy = framework.target_accuracy
             clean_accuracy = framework.clean_accuracy
             run_span.set(chips=len(job_list))
@@ -500,7 +476,6 @@ class CampaignEngine:
                         "target_accuracy": target_accuracy,
                         "clean_accuracy": clean_accuracy,
                         "array_shape": list(population.array_shape),
-                        "backend": self.backend or "eager",
                     },
                 )
 
@@ -545,11 +520,7 @@ class CampaignEngine:
                 triage = triage if triage is not None else {}
                 missing = [job.to_chip() for job in pending if job.chip_id not in triage]
                 if missing:
-                    triage.update(
-                        framework.triage_population(
-                            missing, strategy=strategy, backend=self.backend
-                        )
-                    )
+                    triage.update(framework.triage_population(missing, strategy=strategy))
                 pending = [
                     job.with_accuracy_before(triage[job.chip_id])
                     if job.chip_id in triage
@@ -1012,7 +983,6 @@ def run_campaign(
     progress: bool = False,
     fat_batch: Optional[int] = None,
     strategy: StrategyLike = None,
-    backend: Optional[str] = None,
     prefetch: bool = True,
     lowering_cache_mb: Optional[float] = None,
 ) -> CampaignResult:
@@ -1024,7 +994,6 @@ def run_campaign(
         resume=resume,
         progress=progress,
         fat_batch=fat_batch,
-        backend=backend,
         prefetch=prefetch,
         lowering_cache_mb=lowering_cache_mb,
     )

@@ -62,11 +62,6 @@ class ChipJob:
     # How the chip is mitigated before/instead of spending the budget (part
     # of the work definition, so part of the campaign fingerprint).
     strategy: str = DEFAULT_STRATEGY_NAME
-    # Compute backend the batched substrate replays its captured op graphs
-    # through (``None`` = eager).  Part of the fingerprint only when it can
-    # change recorded values: ``None`` and the bit-identical ``"numpy"``
-    # reference replay fingerprint alike, so existing stores stay resumable.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -95,7 +90,6 @@ class ChipJob:
             policy_name=str(data["policy_name"]),
             accuracy_before=None if accuracy_before is None else float(accuracy_before),
             strategy=str(data.get("strategy", DEFAULT_STRATEGY_NAME)),
-            backend=data.get("backend"),
         )
 
 
@@ -104,7 +98,6 @@ def build_jobs(
     population: ChipPopulation,
     policy: RetrainingPolicy,
     strategy: StrategyLike = None,
-    backend: Optional[str] = None,
 ) -> List[ChipJob]:
     """Resolve a policy over a population into per-chip jobs (Step 2 output).
 
@@ -114,9 +107,6 @@ def build_jobs(
     clamps the budget to what the strategy actually spends (zero for
     non-retraining strategies and for bypassable chips under ``bypass+fat``),
     so the planner groups jobs by the work they really represent.
-    ``backend`` tags every job with the compute backend the executor should
-    route the batched substrate through; the job carries it, so workers need
-    no extra configuration to honour it.
     """
     resolved = resolve_strategy(strategy)
     amounts = policy.epochs_for_population(population)
@@ -128,7 +118,6 @@ def build_jobs(
             target_accuracy=target,
             policy_name=policy.name,
             strategy=resolved.name,
-            backend=backend,
         )
         for chip in population
     ]
@@ -142,24 +131,22 @@ def execute_job(framework: ReduceFramework, job: ChipJob) -> ChipRetrainingResul
         target_accuracy=job.target_accuracy,
         accuracy_before=job.accuracy_before,
         strategy=job.strategy,
-        backend=job.backend,
     )
 
 
 def group_jobs_for_batching(
     jobs: Sequence[ChipJob],
-) -> Dict[Tuple[float, str, Optional[str]], List[ChipJob]]:
-    """Group jobs by ``(budget, strategy, backend)`` (insertion-ordered).
+) -> Dict[Tuple[float, str], List[ChipJob]]:
+    """Group jobs by ``(budget, strategy)`` (insertion-ordered).
 
-    A stacked batched-FAT run shares one mini-batch stream, one set of
-    stacked keep-multipliers and one compute backend, so only jobs that agree
-    on the budget, the mitigation strategy *and* the backend may coalesce —
-    a multi-strategy (or mixed-backend) sweep's jobs partition cleanly along
-    this key.
+    A stacked batched-FAT run shares one mini-batch stream and one set of
+    stacked keep-multipliers, so only jobs that agree on the budget *and*
+    the mitigation strategy may coalesce — a multi-strategy sweep's jobs
+    partition cleanly along this key.
     """
-    groups: Dict[Tuple[float, str, Optional[str]], List[ChipJob]] = {}
+    groups: Dict[Tuple[float, str], List[ChipJob]] = {}
     for job in jobs:
-        groups.setdefault((float(job.epochs), job.strategy, job.backend), []).append(job)
+        groups.setdefault((float(job.epochs), job.strategy), []).append(job)
     return groups
 
 
@@ -168,8 +155,7 @@ def plan_job_chunks(
 ) -> List[List[ChipJob]]:
     """Partition pending jobs into executor chunks (the campaign *plan*).
 
-    Jobs are grouped by ``(budget, strategy, backend)``
-    (:func:`group_jobs_for_batching`);
+    Jobs are grouped by ``(budget, strategy)`` (:func:`group_jobs_for_batching`);
     every positive-budget group with at least two jobs is cut into batched
     chunks of at most ``fat_batch`` jobs, which the executor retrains through
     one stacked :class:`~repro.accelerator.batched.BatchedFaultTrainer` run
@@ -193,7 +179,7 @@ def plan_job_chunks(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     chunks: List[List[ChipJob]] = []
-    for (epochs, _strategy, _backend), group in group_jobs_for_batching(jobs).items():
+    for (epochs, _strategy), group in group_jobs_for_batching(jobs).items():
         chunk_cap = min(fat_batch, -(-len(group) // workers))
         if chunk_cap > 1 and epochs > 0 and len(group) > 1:
             for start in range(0, len(group), chunk_cap):
@@ -230,7 +216,6 @@ def execute_job_chunk(
         chips=len(chunk_list),
         epochs=chunk_list[0].epochs,
         strategy=chunk_list[0].strategy,
-        backend=chunk_list[0].backend or "eager",
         batched=len(chunk_list) > 1 and fat_batch > 1,
         attempt=attempt,
         prefetch=pipeline.prefetch,
@@ -253,7 +238,7 @@ def execute_jobs_batched(
 
     Returns results in job order, bit-identical (on this BLAS build) to
     ``[execute_job(framework, job) for job in jobs]``.  All jobs must share
-    the same ``epochs``, ``target_accuracy``, ``strategy`` and ``backend``.
+    the same ``epochs``, ``target_accuracy`` and ``strategy``.
     """
     job_list = list(jobs)
     if not job_list:
@@ -261,20 +246,13 @@ def execute_jobs_batched(
     epochs = job_list[0].epochs
     target = job_list[0].target_accuracy
     strategy = job_list[0].strategy
-    backend = job_list[0].backend
     for job in job_list[1:]:
-        if (
-            job.epochs != epochs
-            or job.target_accuracy != target
-            or job.strategy != strategy
-            or job.backend != backend
-        ):
+        if job.epochs != epochs or job.target_accuracy != target or job.strategy != strategy:
             raise ValueError(
-                "batched execution requires jobs with identical epochs, target, "
-                f"strategy and backend (got epochs {job.epochs} vs {epochs}, "
+                "batched execution requires jobs with identical epochs, target "
+                f"and strategy (got epochs {job.epochs} vs {epochs}, "
                 f"target {job.target_accuracy} vs {target}, strategy "
-                f"{job.strategy!r} vs {strategy!r}, backend "
-                f"{job.backend!r} vs {backend!r})"
+                f"{job.strategy!r} vs {strategy!r})"
             )
     accuracies_before = {
         job.chip_id: job.accuracy_before
@@ -288,5 +266,4 @@ def execute_jobs_batched(
         accuracies_before=accuracies_before,
         fat_batch=fat_batch,
         strategy=strategy,
-        backend=backend,
     )

@@ -45,6 +45,7 @@ import dataclasses
 import os
 import selectors
 import socket
+import stat
 import tempfile
 import threading
 import time
@@ -176,7 +177,6 @@ class CampaignCoordinator:
         preset,
         listen: Optional[Tuple[str, int]] = None,
         connect: Sequence[Tuple[str, int]] = (),
-        backend: Optional[str] = None,
         fat_batch: int = 8,
         prefetch: bool = True,
         lowering_cache_mb: Optional[float] = None,
@@ -185,7 +185,6 @@ class CampaignCoordinator:
     ) -> None:
         self.preset_name = str(preset.name)
         self._preset_dict = config_to_dict(preset)
-        self.backend = backend
         self.fat_batch = int(fat_batch)
         self.prefetch = bool(prefetch)
         self.lowering_cache_mb = lowering_cache_mb
@@ -297,7 +296,7 @@ class CampaignCoordinator:
                 hello = recv_frame(sock)
                 if hello is None:
                     raise HandshakeError("peer closed before hello")
-                reason = validate_hello(hello, self.backend, self.preset_name)
+                reason = validate_hello(hello, self.preset_name)
                 if reason is not None:
                     logger.warning("rejecting worker %s: %s", peer, reason)
                     send_frame(sock, {"type": MSG_REJECT, "reason": reason})
@@ -314,7 +313,6 @@ class CampaignCoordinator:
                         "worker_id": worker_id,
                         "preset": self._preset_dict,
                         "preset_name": self.preset_name,
-                        "backend": self.backend,
                         "fat_batch": self.fat_batch,
                         "prefetch": self.prefetch,
                         "lowering_cache_mb": self.lowering_cache_mb,
@@ -794,7 +792,6 @@ def run_worker(
     """
     if (join is None) == (listen is None):
         raise ValueError("exactly one of join= and listen= is required")
-    from repro.backends import available_backends
     from repro.experiments.common import ExperimentContext
     from repro.experiments.presets import ExperimentPreset
 
@@ -809,12 +806,7 @@ def run_worker(
         sock.settimeout(60.0)
         send_frame(
             sock,
-            worker_hello(
-                backends=list(available_backends()),
-                host=host_tag(),
-                pid=os.getpid(),
-                expect_preset=expect_preset,
-            ),
+            worker_hello(host=host_tag(), pid=os.getpid(), expect_preset=expect_preset),
             lock=send_lock,
         )
         welcome = recv_frame(sock)
@@ -943,10 +935,43 @@ def run_worker(
             pass
 
 
+def _release_inherited_sockets() -> None:
+    """Drop every socket a fork-started worker inherited from its parent.
+
+    A local worker is forked while the coordinator is live, so it starts
+    with copies of the listening socket and of every worker link open at
+    that moment.  While any copy stays open, a peer that closes its end
+    delivers no EOF to the coordinator, and a dropped worker looks hung
+    instead of disconnected.  Each inherited socket descriptor is pointed
+    at ``/dev/null`` rather than closed: its number stays taken, so a stale
+    socket object in the inherited heap that closes its descriptor later
+    cannot close one this worker opened.
+    """
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):  # no /proc: spawn-started, nothing inherited
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir(fd_dir):
+            fd = int(name)
+            # Standard streams may be sockets too (e.g. a journald stdout);
+            # they carry the worker's logs, not coordinator links.
+            if fd <= 2 or fd == devnull:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                continue  # the listing's own directory descriptor, now closed
+    finally:
+        os.close(devnull)
+
+
 def _local_worker_main(
     address: Tuple[str, int], cache_dir: Optional[str]
 ) -> None:  # pragma: no cover - runs in a child process
     """Entry point of an engine-spawned local socket worker process."""
+    _release_inherited_sockets()
     try:
         run_worker(join=tuple(address), cache_dir=cache_dir, connect_timeout=60.0)
     except TransportError as error:

@@ -81,7 +81,6 @@ def run_strategy_sweep(
     max_chunk_retries: Optional[int] = None,
     chunk_timeout: Optional[float] = None,
     chaos: Optional[str] = None,
-    backend: Optional[str] = None,
     prefetch: bool = True,
     lowering_cache_mb: Optional[float] = None,
     listen: Optional[Tuple[str, int]] = None,
@@ -94,8 +93,7 @@ def run_strategy_sweep(
     shared engine, with triage shared among strategies whose initial
     accuracy is measured under the same masks.  The fault-tolerance knobs
     (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) are forwarded to
-    the shared engine and therefore apply to every strategy arm, as does the
-    compute ``backend`` every arm's jobs are tagged with.
+    the shared engine and therefore apply to every strategy arm.
 
     The pipelined-eval knobs (``prefetch``, ``lowering_cache_mb``) also ride
     the shared engine — and because the engine configures the *context's*
@@ -122,7 +120,6 @@ def run_strategy_sweep(
         max_chunk_retries=max_chunk_retries,
         chunk_timeout=chunk_timeout,
         chaos=chaos,
-        backend=backend,
         prefetch=prefetch,
         lowering_cache_mb=lowering_cache_mb,
         listen=listen,

@@ -16,8 +16,6 @@ always speaks first (regardless of which side dialed), declaring:
   outright rather than guessing at forward compatibility;
 * ``store_format`` — :data:`~repro.campaign.store.STORE_FORMAT_VERSION`, so
   a worker built against a different store layout can never contribute rows;
-* ``backends`` — the worker's available compute backends; a campaign pinned
-  to a backend the worker lacks is rejected at join time, not mid-chunk;
 * ``preset`` — optionally, the preset name the worker expects (workers
   normally adopt the coordinator's preset from the welcome frame; declaring
   one turns a mixed-cluster mis-join into a loud reject);
@@ -42,7 +40,7 @@ import struct
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frames larger than this are refused on both ends.  Sized far above any
 #: legitimate chunk/result/shard payload; its job is to turn a corrupt or
@@ -221,7 +219,6 @@ def find_free_port(host: str = "127.0.0.1") -> int:
 
 
 def worker_hello(
-    backends: List[str],
     host: str,
     pid: int,
     expect_preset: Optional[str] = None,
@@ -233,7 +230,6 @@ def worker_hello(
         "type": MSG_HELLO,
         "protocol": PROTOCOL_VERSION,
         "store_format": STORE_FORMAT_VERSION,
-        "backends": list(backends),
         "host": host,
         "pid": int(pid),
     }
@@ -242,16 +238,11 @@ def worker_hello(
     return hello
 
 
-def validate_hello(
-    hello: Dict[str, Any],
-    backend: Optional[str],
-    preset_name: str,
-) -> Optional[str]:
+def validate_hello(hello: Dict[str, Any], preset_name: str) -> Optional[str]:
     """Coordinator-side hello validation; a rejection reason or ``None``.
 
-    ``backend`` is the campaign's pinned compute backend (``None`` = eager,
-    which every worker supports).  ``preset_name`` is the coordinator's
-    preset; a worker that *declared* an expected preset must match it.
+    ``preset_name`` is the coordinator's preset; a worker that *declared* an
+    expected preset must match it.
     """
     from repro.campaign.store import STORE_FORMAT_VERSION
 
@@ -266,11 +257,6 @@ def validate_hello(
         return (
             f"store format mismatch: worker writes v{hello.get('store_format')!r}, "
             f"coordinator stores are v{STORE_FORMAT_VERSION}"
-        )
-    if backend is not None and backend not in (hello.get("backends") or []):
-        return (
-            f"backend {backend!r} unavailable on worker "
-            f"(has: {', '.join(hello.get('backends') or []) or 'none'})"
         )
     declared = hello.get("preset")
     if declared is not None and str(declared) != preset_name:

@@ -336,7 +336,6 @@ class ReduceFramework:
         chips: Iterable[Chip],
         chip_chunk: int = 16,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> Dict[str, float]:
         """Pre-retraining accuracy of every chip, in batched multi-chip passes.
 
@@ -349,9 +348,7 @@ class ReduceFramework:
         share the pre-trained weights and differ only in their masks, so a
         :class:`~repro.accelerator.batched.BatchedFaultEvaluator` computes B
         of them per forward sweep.  Results are numerically identical to the
-        serial per-chip evaluation.  ``backend`` selects the compute backend
-        the evaluator replays its captured forward graphs through (``None``
-        keeps the eager path; ``"numpy"`` is bit-identical to it).
+        serial per-chip evaluation.
         """
         chip_list = list(chips)
         if not chip_list:
@@ -382,7 +379,6 @@ class ReduceFramework:
                     batch_size=eval_batch,
                     chip_chunk=chip_chunk,
                     lowering_cache=pipeline.cache,
-                    backend=backend,
                     prefetch=pipeline.prefetch,
                 )
             )
@@ -412,7 +408,6 @@ class ReduceFramework:
         target_accuracy: Optional[float] = None,
         accuracy_before: Optional[float] = None,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> Union[ChipRetrainingResult, tuple]:
         """Mitigate (and possibly retrain) the pre-trained model for one chip.
 
@@ -433,13 +428,6 @@ class ReduceFramework:
         retrain under saliency-permuted masks; bypass strategies return the
         clean accuracy for bypassable chips (the shrunk array has no faults)
         and fall back to FAP(+FAT, if the strategy retrains) otherwise.
-
-        ``backend`` is accepted so per-job execution mirrors the batched
-        path's signature, but the serial per-chip trainer always executes
-        eagerly — backends route the *stacked* substrate, whose ``"numpy"``
-        replay is bit-identical to eager execution, so a campaign that mixes
-        batched chunks (replayed) with singleton chunks (eager) records the
-        same values either way.
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -509,7 +497,6 @@ class ReduceFramework:
         accuracies_before: Optional[Dict[str, float]] = None,
         fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> List[ChipRetrainingResult]:
         """Mitigate several chips under one strategy/budget in stacked batches.
 
@@ -533,10 +520,6 @@ class ReduceFramework:
         same machinery as plain fault masks.  Bypassable chips under a bypass
         strategy never enter training (their accuracy is preserved by the
         shrunk array); the rest of the batch trains normally.
-
-        ``backend`` selects the compute backend the stacked trainer and
-        evaluators replay their captured op graphs through (``None`` keeps
-        the eager path; ``"numpy"`` is bit-identical to it).
         """
         if epochs < 0:
             raise ValueError("epochs must be non-negative")
@@ -583,7 +566,6 @@ class ReduceFramework:
                     batch_size=eval_batch,
                     chip_chunk=fat_batch,
                     lowering_cache=pipeline.cache,
-                    backend=backend,
                     prefetch=pipeline.prefetch,
                 )
                 for position, pos in enumerate(missing):
@@ -618,8 +600,7 @@ class ReduceFramework:
                         batch_size=eval_batch,
                         chip_chunk=fat_batch,
                         lowering_cache=pipeline.cache,
-                        backend=backend,
-                        prefetch=pipeline.prefetch,
+                            prefetch=pipeline.prefetch,
                     )
                     for position, index in enumerate(missing):
                         before[index] = evaluated[position]
@@ -636,7 +617,6 @@ class ReduceFramework:
                 self.bundle.train,
                 self.bundle.test,
                 config=self._fat_training_config(),
-                backend=backend,
                 lowering_cache=pipeline.cache,
                 prefetch=pipeline.prefetch,
                 widened_eval=pipeline.widened_eval,
@@ -666,7 +646,6 @@ class ReduceFramework:
         batched: bool = True,
         fat_batch: int = DEFAULT_FAT_BATCH,
         strategy: StrategyLike = None,
-        backend: Optional[str] = None,
     ) -> CampaignResult:
         """Run Step 3 for every chip under an arbitrary retraining policy.
 
@@ -676,8 +655,7 @@ class ReduceFramework:
         then retrained together through the stacked batched-FAT path, which
         is bit-identical to the serial per-chip loop on this BLAS build.
         ``strategy`` selects the mitigation recipe applied before/instead of
-        retraining (default: classic FAT); ``backend`` selects the compute
-        backend the batched substrate replays its captured graphs through.
+        retraining (default: classic FAT).
         """
         strategy = resolve_strategy(strategy)
         amounts = policy.epochs_for_population(population)
@@ -687,7 +665,7 @@ class ReduceFramework:
             )
             for chip in population
         }
-        triage = self.triage_population(population, strategy=strategy, backend=backend)
+        triage = self.triage_population(population, strategy=strategy)
         by_id: Dict[str, ChipRetrainingResult] = {}
         if batched:
             groups: Dict[float, List[Chip]] = {}
@@ -701,8 +679,7 @@ class ReduceFramework:
                         accuracies_before=triage,
                         fat_batch=fat_batch,
                         strategy=strategy,
-                        backend=backend,
-                    ):
+                        ):
                         by_id[result.chip_id] = result
         results: List[ChipRetrainingResult] = []
         for chip in population:
@@ -713,7 +690,6 @@ class ReduceFramework:
                     effective[chip.chip_id],
                     accuracy_before=triage.get(chip.chip_id),
                     strategy=strategy,
-                    backend=backend,
                 )
             results.append(result)
             if progress:

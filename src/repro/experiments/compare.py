@@ -178,7 +178,6 @@ def run_compare(
     max_chunk_retries: Optional[int] = None,
     chunk_timeout: Optional[float] = None,
     chaos: Optional[str] = None,
-    backend: Optional[str] = None,
     prefetch: bool = True,
     lowering_cache_mb: Optional[float] = None,
     listen: Optional[Tuple[str, int]] = None,
@@ -192,8 +191,7 @@ def run_compare(
     ``fixed_epochs``).  Every strategy's campaign is dispatched through the
     shared campaign engine, so ``jobs``, ``fat_batch``, resumable stores
     under ``campaign_dir`` and the fault-tolerance knobs
-    (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) apply per strategy,
-    as does the compute ``backend`` the batched substrate replays through.
+    (``max_chunk_retries``, ``chunk_timeout``, ``chaos``) apply per strategy.
     """
     chips = population if population is not None else build_population(context, num_chips)
     if policy is None:
@@ -221,7 +219,6 @@ def run_compare(
         max_chunk_retries=max_chunk_retries,
         chunk_timeout=chunk_timeout,
         chaos=chaos,
-        backend=backend,
         prefetch=prefetch,
         lowering_cache_mb=lowering_cache_mb,
         listen=listen,

@@ -184,8 +184,6 @@ def col2im_t(
 class Conv2dFunction(Function):
     """2-D convolution via im2col, with full backward support."""
 
-    capture_name = "conv2d"
-
     def forward(
         self,
         x: np.ndarray,
@@ -263,8 +261,6 @@ def conv2d(
 
 
 class MaxPool2dFunction(Function):
-    capture_name = "max_pool2d"
-
     def forward(
         self,
         x: np.ndarray,
@@ -332,8 +328,6 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
 
 
 class AvgPool2dFunction(Function):
-    capture_name = "avg_pool2d"
-
     def forward(
         self,
         x: np.ndarray,
@@ -490,8 +484,6 @@ class BatchNormFunction(Function):
     without a second pass over the input.
     """
 
-    capture_name = "batch_norm"
-
     def forward(
         self,
         x: np.ndarray,
@@ -634,8 +626,6 @@ def flatten(x: Tensor, start_dim: int = 1) -> Tensor:
 
 class NllLossFunction(Function):
     """Negative log-likelihood of integer targets given log-probabilities."""
-
-    capture_name = "nll_loss"
 
     def forward(self, log_probs: np.ndarray, targets: np.ndarray, reduction: str) -> np.ndarray:
         if log_probs.ndim != 2:

@@ -12,7 +12,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backends import recorded
 from repro.nn.module import Parameter
 
 
@@ -87,43 +86,35 @@ class SGD(Optimizer):
         self.nesterov = nesterov
 
     def _update(self, index: int, param: Parameter, grad: np.ndarray) -> None:
-        recorded("sgd.update", (param.data, grad), self._update_kernel(index))
-
-    def _update_kernel(self, index: int):
+        # All arithmetic below matches the textbook formulation value-for-value
+        # (same operations in the same order); the only change is that every
+        # intermediate lands in a preallocated buffer and the parameter is
+        # updated in place, so a step performs zero array allocations.
         state = self._param_state(index)
-
-        def update(data: np.ndarray, grad: np.ndarray) -> np.ndarray:
-            # All arithmetic below matches the textbook formulation value-for-
-            # value (same operations in the same order); the only change is
-            # that every intermediate lands in a preallocated buffer and the
-            # parameter is updated in place, so a step performs zero array
-            # allocations.
-            if self.weight_decay:
-                scratch = self._scratch(state, "scratch", data)
-                np.multiply(data, self.weight_decay, out=scratch)
-                np.add(grad, scratch, out=scratch)
-                grad = scratch
-            if self.momentum:
-                buf = state.get("momentum")
-                if buf is None or buf.shape != grad.shape:
-                    buf = grad.copy()
-                    state["momentum"] = buf
-                else:
-                    buf *= self.momentum
-                    buf += grad
-                if self.nesterov:
-                    nesterov = self._scratch(state, "nesterov", data)
-                    np.multiply(buf, self.momentum, out=nesterov)
-                    np.add(grad, nesterov, out=nesterov)
-                    grad = nesterov
-                else:
-                    grad = buf
-            step_buf = self._scratch(state, "step", data)
-            np.multiply(grad, self.lr, out=step_buf)
-            np.subtract(data, step_buf, out=data)
-            return data
-
-        return update
+        data = param.data
+        if self.weight_decay:
+            scratch = self._scratch(state, "scratch", data)
+            np.multiply(data, self.weight_decay, out=scratch)
+            np.add(grad, scratch, out=scratch)
+            grad = scratch
+        if self.momentum:
+            buf = state.get("momentum")
+            if buf is None or buf.shape != grad.shape:
+                buf = grad.copy()
+                state["momentum"] = buf
+            else:
+                buf *= self.momentum
+                buf += grad
+            if self.nesterov:
+                nesterov = self._scratch(state, "nesterov", data)
+                np.multiply(buf, self.momentum, out=nesterov)
+                np.add(grad, nesterov, out=nesterov)
+                grad = nesterov
+            else:
+                grad = buf
+        step_buf = self._scratch(state, "step", data)
+        np.multiply(grad, self.lr, out=step_buf)
+        np.subtract(data, step_buf, out=data)
 
 
 class Adam(Optimizer):

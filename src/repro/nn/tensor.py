@@ -25,9 +25,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends import capture as backend_capture
-from repro.backends.errors import BackendError, describe_operands
-
 DEFAULT_DTYPE = np.float32
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -73,6 +70,44 @@ def enable_grad():
 # ---------------------------------------------------------------------------
 
 
+class OpError(RuntimeError):
+    """An op's forward broke its dtype/shape invariants.
+
+    Raised from :meth:`Function.apply` so a failing op reports its name and
+    the offending operand shapes/dtypes instead of a bare ``AssertionError``
+    deep inside a kernel.  ``op`` is the :class:`Function` subclass name.
+    """
+
+    def __init__(self, message: str, op: str) -> None:
+        super().__init__(f"[op={op}] {message}")
+        self.op = op
+
+
+def describe_operands(values: Sequence[Any]) -> str:
+    """Render operand shapes/dtypes (``shape/dtype``) for error messages.
+
+    Anything without a shape and dtype shows as its ``repr``, truncated to
+    keep messages one line.
+    """
+    parts = []
+    for value in values:
+        # The value's own shape/dtype first: an ndarray's ``.data`` is a
+        # memoryview (no dtype), so only tensor-like wrappers fall through
+        # to their backing array.
+        shape = getattr(value, "shape", None)
+        dtype = getattr(value, "dtype", None)
+        if shape is None or dtype is None:
+            data = getattr(value, "data", None)
+            shape = getattr(data, "shape", shape)
+            dtype = getattr(data, "dtype", dtype)
+        if shape is not None and dtype is not None:
+            parts.append(f"{tuple(shape)}/{dtype}")
+        else:
+            text = repr(value)
+            parts.append(text if len(text) <= 32 else text[:29] + "...")
+    return "(" + ", ".join(parts) + ")"
+
+
 class Function:
     """Base class for differentiable operations.
 
@@ -109,20 +144,19 @@ class Function:
             is_grad_enabled() and t.requires_grad for t in tensor_inputs
         )
         raw_args = [a.data if isinstance(a, Tensor) else a for a in args]
-        op_name = getattr(cls, "capture_name", cls.__name__.lower())
         try:
             output_data = ctx.forward(*raw_args, **kwargs)
         except AssertionError as exc:
-            raise BackendError(
+            raise OpError(
                 f"forward violated a dtype/contiguity invariant for inputs "
                 f"{describe_operands(raw_args)}: {exc}",
-                op=op_name,
+                op=cls.__name__,
             ) from exc
         if not isinstance(output_data, (np.ndarray, np.generic)):
-            raise BackendError(
+            raise OpError(
                 f"forward returned {type(output_data).__name__} for inputs "
                 f"{describe_operands(raw_args)}, expected ndarray",
-                op=op_name,
+                op=cls.__name__,
             )
         # Float32 dtype discipline: an op whose tensor inputs are all float32
         # must not silently promote its output to float64 (e.g. via a numpy
@@ -136,10 +170,6 @@ class Function:
             output_data = output_data.astype(DEFAULT_DTYPE)
         requires_grad = is_grad_enabled() and any(t.requires_grad for t in tensor_inputs)
         output = Tensor(output_data, requires_grad=requires_grad)
-        if backend_capture.is_capturing():
-            # Record the post-construction array: Tensor() may coerce (numpy
-            # scalars, integer dtypes), and downstream ops consume that array.
-            backend_capture.record_function(cls, args, kwargs, output.data)
         if requires_grad:
             ctx.parents = tensor_inputs
             output._ctx = ctx

@@ -148,8 +148,6 @@ class TestEngineEquivalence:
     def test_invalid_worker_counts_rejected(self, smoke_context):
         with pytest.raises(ValueError):
             CampaignEngine(smoke_context, jobs=0)
-        with pytest.raises(ValueError):
-            CampaignEngine(smoke_context, jobs=2, chunk_size=0)
 
 
 class TestStoreAndResume:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.backends import BACKEND_ENV_VAR
 from repro.cli import main
 
 
@@ -39,48 +38,13 @@ class TestCli:
         assert "Pareto" in stdout
 
 
-class TestBackendCli:
-    def test_unknown_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--preset", "smoke", "--backend", "bogus"])
-        assert excinfo.value.code == 2
-        assert "unknown --backend 'bogus'" in capsys.readouterr().err
-
-    def test_fused_without_numba_rejected_with_guidance(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.cli.numba_available", lambda: False)
-        with pytest.raises(SystemExit) as excinfo:
-            main(["campaign", "--preset", "smoke", "--backend", "fused"])
-        assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert "requires numba" in message
-        assert "--backend numpy" in message
-
-    def test_env_var_backend_is_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
+class TestRemovedComputeEnvVar:
+    def test_stale_compute_env_var_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "fused")
         with pytest.raises(SystemExit) as excinfo:
             main(["campaign", "--preset", "smoke"])
         assert excinfo.value.code == 2
-        assert "unknown --backend 'bogus'" in capsys.readouterr().err
-
-    def test_campaign_reports_resolved_backend(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "campaign",
-                    "--preset",
-                    "smoke",
-                    "--chips",
-                    "2",
-                    "--policy",
-                    "fixed",
-                    "--fixed-epochs",
-                    "0.25",
-                    "--campaign-dir",
-                    str(tmp_path / "campaigns"),
-                    "--backend",
-                    "numpy",
-                ]
-            )
-            == 0
-        )
-        assert "compute backend: numpy" in capsys.readouterr().out
+        message = capsys.readouterr().err
+        assert "REPRO_BACKEND='fused'" in message
+        assert "was removed" in message
+        assert "'numpy'" in message

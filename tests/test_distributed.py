@@ -195,33 +195,27 @@ class TestAddresses:
 
 class TestValidateHello:
     def _hello(self, **overrides):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         hello.update(overrides)
         return hello
 
     def test_accepts_matching_hello(self):
-        assert validate_hello(self._hello(), None, "smoke") is None
+        assert validate_hello(self._hello(), "smoke") is None
 
     def test_rejects_wrong_protocol(self):
-        reason = validate_hello(self._hello(protocol=999), None, "smoke")
+        reason = validate_hello(self._hello(protocol=999), "smoke")
         assert reason is not None and "protocol" in reason
 
     def test_rejects_wrong_store_format(self):
-        reason = validate_hello(
-            self._hello(store_format=STORE_FORMAT_VERSION + 1), None, "smoke"
-        )
+        reason = validate_hello(self._hello(store_format=STORE_FORMAT_VERSION + 1), "smoke")
         assert reason is not None and "store format" in reason
 
-    def test_rejects_missing_backend(self):
-        reason = validate_hello(self._hello(), "fused", "smoke")
-        assert reason is not None and "fused" in reason
-
     def test_rejects_preset_mismatch(self):
-        reason = validate_hello(self._hello(preset="fast"), None, "smoke")
+        reason = validate_hello(self._hello(preset="fast"), "smoke")
         assert reason is not None and "preset" in reason
 
     def test_accepts_declared_matching_preset(self):
-        assert validate_hello(self._hello(preset="smoke"), None, "smoke") is None
+        assert validate_hello(self._hello(preset="smoke"), "smoke") is None
 
 
 class TestCoordinatorHandshake:
@@ -247,21 +241,21 @@ class TestCoordinatorHandshake:
             sock.close()
 
     def test_mismatched_protocol_is_rejected(self, coordinator):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         hello["protocol"] = PROTOCOL_VERSION + 10
         reply = self._handshake(coordinator, hello)
         assert reply["type"] == MSG_REJECT
         assert "protocol" in reply["reason"]
 
     def test_mismatched_store_format_is_rejected(self, coordinator):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         hello["store_format"] = STORE_FORMAT_VERSION + 1
         reply = self._handshake(coordinator, hello)
         assert reply["type"] == MSG_REJECT
         assert "store format" in reply["reason"]
 
     def test_welcome_ships_preset_and_knobs(self, coordinator, smoke_context):
-        hello = worker_hello(backends=["numpy"], host="w", pid=1)
+        hello = worker_hello(host="w", pid=1)
         reply = self._handshake(coordinator, hello)
         assert reply["type"] == MSG_WELCOME
         assert reply["protocol"] == PROTOCOL_VERSION
@@ -415,10 +409,17 @@ class TestDistributedCampaigns:
         ]
 
     def test_disconnect_with_chunk_in_flight_is_reassigned(
-        self, smoke_context, population, tmp_path
+        self, smoke_context, population, tmp_path, caplog, monkeypatch
     ):
-        """A fake worker claims a chunk and dies holding it; the ledger
-        reassigns that exact chunk to the surviving real worker."""
+        """A fake worker claims a chunk and dies holding it; the coordinator
+        sees the disconnect (not a hang deadline) and the ledger reassigns
+        that exact chunk to the surviving real worker."""
+        import logging
+
+        # The library's logger hierarchy does not propagate to the root
+        # logger; let it through so caplog can observe the loss cause.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        caplog.set_level(logging.WARNING, logger="repro.campaign.scheduler")
         engine = CampaignEngine(
             smoke_context,
             jobs=1,
@@ -435,7 +436,7 @@ class TestDistributedCampaigns:
             sock = socket.create_connection(engine.listen_address, timeout=30.0)
             sock.settimeout(30.0)
             try:
-                send_frame(sock, worker_hello(backends=["numpy"], host="fake", pid=0))
+                send_frame(sock, worker_hello(host="fake", pid=0))
                 welcome = recv_frame(sock)
                 assert welcome["type"] == MSG_WELCOME
                 send_frame(sock, {"type": MSG_READY})
@@ -472,6 +473,14 @@ class TestDistributedCampaigns:
             thief.join(timeout=30)
 
         assert stolen, "the fake worker never received a chunk"
+        losses = [
+            record.getMessage()
+            for record in caplog.records
+            if " lost (" in record.getMessage()
+        ]
+        # Lost through EOF on its link, not rescued by the chunk deadline.
+        assert losses and all("lost (disconnected)" in loss for loss in losses), losses
+        assert not any("chunk deadline" in record.getMessage() for record in caplog.records)
         assert report.failed == 0
         assert report.executed == len(population)
         assert len(result.results) == len(population)

@@ -209,7 +209,7 @@ class TestEvaluatorPrefetch:
 
 
 class TestWidenedEval:
-    def _train(self, bundle, widened, backend=None):
+    def _train(self, bundle, widened):
         model = _small_cnn(bundle)
         trainer = BatchedFaultTrainer(
             model,
@@ -217,17 +217,13 @@ class TestWidenedEval:
             bundle.train,
             bundle.test,
             config=TrainingConfig(learning_rate=0.05, batch_size=16, seed=3),
-            backend=backend,
             widened_eval=widened,
         )
         histories = trainer.train(1.0, eval_checkpoints=[0.5, 1.0])
         states = [trainer.chip_state_dict(i) for i in range(3)]
         return histories, states
 
-    @pytest.mark.parametrize("backend", [None, "numpy", "fused"])
-    def test_widened_matches_per_checkpoint_eval(
-        self, image_bundle, backend, monkeypatch
-    ):
+    def test_widened_matches_per_checkpoint_eval(self, image_bundle, monkeypatch):
         """Stacking C checkpoints into one widened GEMM changes nothing."""
         widened_calls = []
         original = BatchedFaultTrainer._evaluate_snapshots_widened
@@ -237,12 +233,10 @@ class TestWidenedEval:
             return original(self, snapshots)
 
         monkeypatch.setattr(BatchedFaultTrainer, "_evaluate_snapshots_widened", counting)
-        wide_histories, wide_states = self._train(image_bundle, widened=True, backend=backend)
+        wide_histories, wide_states = self._train(image_bundle, widened=True)
         # 3 deferred passes (initial + two checkpoints) ran as one widened GEMM.
         assert widened_calls == [3]
-        plain_histories, plain_states = self._train(
-            image_bundle, widened=False, backend=backend
-        )
+        plain_histories, plain_states = self._train(image_bundle, widened=False)
         _assert_histories_equal(wide_histories, plain_histories)
         for wide, plain in zip(wide_states, plain_states):
             assert set(wide) == set(plain)

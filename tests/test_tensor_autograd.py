@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Function, OpError, Tensor
 
 from tests.helpers import numeric_gradient
 
@@ -218,3 +218,21 @@ def test_softmax_rows_sum_to_one_property(seed):
     out = Tensor(data).softmax(axis=-1)
     assert np.all(out.data >= 0)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), rtol=1e-5)
+
+
+class _PickyFunction(Function):
+    def forward(self, x):
+        assert x.ndim == 2, "expected a 2-D operand"
+        return x * 2
+
+    def backward(self, grad_output):
+        return (grad_output,)
+
+
+class TestOpError:
+    def test_function_apply_raises_op_error(self):
+        with pytest.raises(OpError) as excinfo:
+            _PickyFunction.apply(nn.Tensor(np.ones(3, dtype=np.float32)))
+        assert excinfo.value.op == "_PickyFunction"
+        assert "(3,)/float32" in str(excinfo.value)
+        assert "expected a 2-D operand" in str(excinfo.value)
