@@ -541,13 +541,19 @@ class BatchedFaultEvaluator:
         out = gemm_input @ layer.wide_weights()  # (P, B * N_out)
         return out.reshape(rows, self.num_chips, -1).transpose(1, 0, 2)
 
-    def _folded_gemm(self, data: np.ndarray, layer: _BatchedLayer) -> np.ndarray:
-        """Folded-suffix GEMM: ``(B * P, K)`` rows against per-chip weights."""
-        per_chip = data.shape[0] // self.num_chips
-        return np.matmul(data.reshape(self.num_chips, per_chip, data.shape[1]), layer.stacked_t)
-
     def _gemm(self, data: np.ndarray, layer: _BatchedLayer, shared: bool) -> np.ndarray:
-        out = self._expand_shared(data, layer) if shared else self._folded_gemm(data, layer)
+        """Per-chip GEMM plus bias, ``(B, P, N_out)``.
+
+        Shared-prefix inputs are one ``(P, K)`` operand; folded-suffix inputs
+        are ``(B * P, K)`` rows, chip ``b``'s block against its own weights.
+        """
+        if shared:
+            out = self._expand_shared(data, layer)
+        else:
+            per_chip = data.shape[0] // self.num_chips
+            out = np.matmul(
+                data.reshape(self.num_chips, per_chip, data.shape[1]), layer.stacked_t
+            )
         if layer.module.bias is not None:
             out += layer.module.bias.data
         return out
