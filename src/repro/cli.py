@@ -274,8 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         type=Path,
         default=None,
-        help="on-disk cache of pre-trained model states (skips pre-training on reuse; "
-        "also honoured via the REPRO_CACHE_DIR environment variable)",
+        help="on-disk cache of pre-trained model states and Step-1 resilience profiles "
+        "(skips pre-training and Step 1 on reuse; also honoured via the "
+        "REPRO_CACHE_DIR environment variable)",
     )
     parser.add_argument("-v", "--verbose", action="count", default=0, help="increase log verbosity")
     return parser

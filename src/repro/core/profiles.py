@@ -212,10 +212,12 @@ class ResilienceProfile:
 
 def save_profile(profile: ResilienceProfile, path) -> None:
     """Persist a resilience profile as JSON (Step 1 is the expensive step —
-    saving it lets Step 2/3 be re-run for new chip batches without repeating it)."""
+    saving it lets Step 2/3 be re-run for new chip batches without repeating it).
+
+    The write is atomic, so a killed process never leaves a torn profile."""
     from repro.utils.config import save_json
 
-    save_json(profile.to_dict(), path)
+    save_json(profile.to_dict(), path, atomic=True)
 
 
 def load_profile(path) -> ResilienceProfile:

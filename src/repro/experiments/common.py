@@ -11,7 +11,9 @@ cache directory is configured (``disk_cache_dir=`` argument,
 :func:`set_disk_cache_dir` or the ``REPRO_CACHE_DIR`` environment variable),
 the pre-trained state dict and clean accuracy are persisted per preset
 fingerprint, so repeated CLI runs — and campaign workers spawned in fresh
-processes — skip pre-training entirely.
+processes — skip pre-training entirely.  The same directory holds each
+preset's Step-1 resilience profile (``<fingerprint>.profile.json``), so
+Step 1 runs once per DNN rather than once per process.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from repro.accelerator.batched import EvalPipeline
 from repro.accelerator.systolic_array import SystolicArray
 from repro.core.constraints import AccuracyConstraint
 from repro.core.reduce import ReduceConfig, ReduceFramework
-from repro.core.profiles import ResilienceProfile
+from repro.core.profiles import ResilienceProfile, load_profile, save_profile
 from repro.data.synthetic import DatasetBundle, make_class_template_images
 from repro.experiments.presets import ExperimentPreset
 from repro.models.registry import build_model
 from repro.nn.serialization import clone_state_dict
+from repro.observability import metrics, trace
 from repro.training import Trainer, evaluate_accuracy
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
@@ -42,8 +45,9 @@ logger = get_logger("experiments.common")
 # In-memory cache of pre-trained contexts, keyed by a preset fingerprint.
 _CONTEXT_CACHE: Dict[str, "ExperimentContext"] = {}
 
-# On-disk cache of pre-trained state dicts (same fingerprint key); resolved
-# from the explicit argument, this module default, or REPRO_CACHE_DIR.
+# On-disk cache of pre-trained state dicts and Step-1 profiles (same
+# fingerprint key); resolved from the explicit argument, this module default,
+# or REPRO_CACHE_DIR.
 _DISK_CACHE_ENV = "REPRO_CACHE_DIR"
 _DISK_CACHE_DIR: Optional[Path] = None
 
@@ -52,7 +56,9 @@ _DISK_CACHE_DIR: Optional[Path] = None
 # states.  Bump whenever a change shifts training trajectories bit-for-bit
 # (the campaign STORE_FORMAT_VERSION guards recorded *results* the same way;
 # this guards the pre-trained *weights* they start from, so a warm disk
-# cache from an older build can never seed new-version campaigns).
+# cache from an older build can never seed new-version campaigns).  The
+# fingerprint also keys the cached Step-1 profiles, so a bump invalidates
+# those too.
 # Version 2: fused batch-norm backward + C-contiguous materialisation of
 # degenerate 1x1 im2col lowerings (changes vgg-style pre-training).
 TRAINING_NUMERICS_VERSION = 2
@@ -151,6 +157,34 @@ def _save_pretrained_to_disk(
     logger.info("cached pre-trained state for preset %r at %s", preset.name, state_path)
 
 
+def _load_profile_from_disk(
+    path: Path, context: "ExperimentContext"
+) -> Optional[ResilienceProfile]:
+    """Load a cached Step-1 profile, or None on a miss or a bad entry.
+
+    An entry whose grid or clean accuracy disagrees with ``context`` is
+    treated like an unreadable one: logged and recomputed.
+    """
+    if not path.exists():
+        return None
+    try:
+        profile = load_profile(path)
+    except (OSError, ValueError, KeyError, TypeError):
+        logger.warning("ignoring unreadable profile cache entry %s", path)
+        return None
+    config = context.preset.resilience_config()
+    checkpoints = [0.0] + [float(c) for c in config.epoch_checkpoints]
+    if (
+        not np.array_equal(profile.fault_rates, np.asarray(config.fault_rates, dtype=float))
+        or not np.array_equal(profile.epoch_checkpoints, checkpoints)
+        or profile.num_trials != config.trials_per_rate
+        or profile.clean_accuracy != context.clean_accuracy
+    ):
+        logger.warning("ignoring profile cache entry %s inconsistent with its context", path)
+        return None
+    return profile
+
+
 def build_dataset(preset: ExperimentPreset) -> DatasetBundle:
     """Build the synthetic dataset described by the preset."""
     spec = preset.dataset
@@ -177,6 +211,9 @@ class ExperimentContext:
     pretrained_state: Dict[str, np.ndarray]
     array: SystolicArray
     clean_accuracy: float
+    # On-disk cache resolved by from_preset (None: no disk cache); it holds
+    # the Step-1 profile next to the pre-trained state.
+    disk_cache_dir: Optional[Path] = None
     _profile: Optional[ResilienceProfile] = None
     # Lazily-created pipelined-eval configuration (prefetch, widened
     # multi-checkpoint GEMMs, shared lowering cache).  It lives on the
@@ -239,6 +276,7 @@ class ExperimentContext:
             pretrained_state=clone_state_dict(model.state_dict()),
             array=SystolicArray(preset.array_rows, preset.array_cols),
             clean_accuracy=clean_accuracy,
+            disk_cache_dir=cache_dir,
         )
         if use_cache:
             _CONTEXT_CACHE[fingerprint] = context
@@ -299,17 +337,38 @@ class ExperimentContext:
         return framework
 
     def resilience_profile(self, force: bool = False) -> ResilienceProfile:
-        """The (cached) Step-1 resilience profile for this context."""
-        if self._profile is None or force:
-            framework = ReduceFramework(
-                self.model,
-                self.pretrained_state,
-                self.bundle,
-                self.array,
-                config=self.reduce_config(),
-            )
-            self._profile = framework.analyze_resilience()
-        return self._profile
+        """The Step-1 resilience profile, computed once per context.
+
+        With a disk cache configured the profile is also persisted there,
+        and a later context for the same preset (in any process) loads it
+        instead of re-running the analysis.  ``force=True`` recomputes it
+        and overwrites the cached entry.
+        """
+        if self._profile is not None and not force:
+            return self._profile
+        path = None
+        if self.disk_cache_dir is not None:
+            path = self.disk_cache_dir / f"{preset_fingerprint(self.preset)}.profile.json"
+        with trace.span("step1.profile", preset=self.preset.name) as span:
+            profile = None if path is None or force else _load_profile_from_disk(path, self)
+            cache = "off" if path is None else "hit" if profile is not None else "miss"
+            span.set(cache=cache)
+            if profile is None:
+                framework = ReduceFramework(
+                    self.model,
+                    self.pretrained_state,
+                    self.bundle,
+                    self.array,
+                    config=self.reduce_config(),
+                )
+                profile = framework.analyze_resilience()
+                if path is not None:
+                    save_profile(profile, path)
+        if path is not None:
+            name = "hits" if cache == "hit" else "misses"
+            metrics.counter(f"step1.profile_cache_{name}").inc()
+        self._profile = profile
+        return profile
 
     def restore_pretrained(self) -> None:
         """Reset the shared model to the pre-trained weights."""

@@ -162,11 +162,10 @@ def run_fig3(
     chips = population if population is not None else build_population(context, num_chips)
     budgets = tuple(fixed_epochs if fixed_epochs is not None else preset.fixed_policy_epochs)
 
+    # Step 1 runs once (or loads from the disk cache) and is shared by every
+    # policy through the framework built after it.
+    context.resilience_profile()
     framework = context.framework()
-    # Ensure Step 1 runs once and is shared by every policy (and cached on the
-    # context so later calls in the same session reuse it).
-    profile = framework.analyze_resilience()
-    context._profile = profile
 
     engine = CampaignEngine(
         context,

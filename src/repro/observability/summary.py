@@ -15,6 +15,9 @@ worker process and per mitigation strategy:
   visible at a glance.
 * **Strategies** aggregate chunk time and chip counts by the ``strategy``
   span attribute, giving per-strategy chips/s straight from the trace.
+* **Step 1** lists each ``step1.profile`` span with its ``cache`` attribute
+  (``hit``/``miss``/``off``), so a slow run shows whether it recomputed the
+  resilience profile or loaded it from the disk cache.
 * **Faults** count the supervisor's recovery instants (worker deaths, chunk
   retries, quarantined chunks) plus retried chunk executions (``campaign.chunk``
   spans with ``attempt > 0``), so a trace shows at a glance whether the
@@ -190,6 +193,13 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
             if int((e.get("attrs", {}) or {}).get("attempt", 0) or 0) > 0
         ),
     }
+    step1 = [
+        {
+            "seconds": float(e["duration"]),
+            "cache": str((e.get("attrs", {}) or {}).get("cache", "?")),
+        }
+        for e in _duration_events(events, "step1.profile")
+    ]
     return {
         "total_wall_seconds": total_wall,
         "runs": len(runs),
@@ -201,6 +211,7 @@ def summarize_trace(events: List[Dict[str, Any]]) -> Dict[str, Any]:
         "chips_committed": len(chip_events),
         "faults": faults,
         "fat": fat,
+        "step1": step1,
     }
 
 
@@ -214,6 +225,10 @@ def render_trace_summary(summary: Dict[str, Any], width: int = 40) -> str:
         f"{summary['chips_committed']} chip(s) committed, "
         f"{summary['accounted_percent']:.1f}% of wall-clock in phases"
     )
+    for row in summary.get("step1", []):
+        lines.append(
+            f"Step-1 profile: {format_duration(row['seconds'])} (disk cache {row['cache']})"
+        )
     lines.append("")
     lines.append("Per-phase breakdown (% of campaign wall-clock):")
     lines.append(

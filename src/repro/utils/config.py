@@ -112,7 +112,8 @@ def fsync_directory(path: Union[str, Path]) -> None:
 def save_json(data: Any, path: Union[str, Path], atomic: bool = False) -> Path:
     """Write JSON-compatible ``data`` (or a dataclass) to ``path``.
 
-    With ``atomic=True`` the payload is written to a sibling temp file,
+    With ``atomic=True`` the payload is written to a sibling temp file
+    (named per process, so concurrent writers of one path never share it),
     fsynced, moved into place with :func:`os.replace`, and the parent
     directory is fsynced — so concurrent readers (e.g. campaign workers
     inspecting a store manifest) never observe a torn file and the rename
@@ -122,7 +123,7 @@ def save_json(data: Any, path: Union[str, Path], atomic: bool = False) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = _to_jsonable(data)
     if atomic:
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with tmp.open("w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.flush()

@@ -121,3 +121,17 @@ class TestProfilePersistence:
         assert restored.epochs_required(0.15, 0.93, statistic="max") == profile.epochs_required(
             0.15, 0.93, statistic="max"
         )
+
+    def test_save_is_atomic(self, tmp_path, monkeypatch):
+        profile = make_profile()
+        path = tmp_path / "resilience.json"
+        save_profile(profile, path)
+
+        def killed_before_rename(src, dst):
+            raise OSError("killed before the rename")
+
+        # A write interrupted before its rename leaves the old entry intact.
+        monkeypatch.setattr("repro.utils.config.os.replace", killed_before_rename)
+        with pytest.raises(OSError):
+            save_profile(make_profile(), path)
+        assert np.array_equal(load_profile(path).accuracies, profile.accuracies)

@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -557,6 +558,165 @@ class TestDiskCache:
             path.write_bytes(corruption)
         second = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
         assert state_dicts_equal(first.pretrained_state, second.pretrained_state)
+
+    # -- Step-1 profile entries ----------------------------------------------------
+
+    @staticmethod
+    def _profile_path(cache_dir):
+        (path,) = cache_dir.glob("*.profile.json")
+        return path
+
+    @staticmethod
+    def _count_analyzer_runs(monkeypatch):
+        from repro.core.resilience import ResilienceAnalyzer
+
+        calls = []
+        original = ResilienceAnalyzer.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResilienceAnalyzer, "run", counting_run)
+        return calls
+
+    def test_profile_persisted_and_reloaded_without_step1(self, tmp_path, monkeypatch, population):
+        from repro.core.resilience import ResilienceAnalyzer
+
+        preset = self._tiny_preset()
+        first = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
+        profile = first.resilience_profile()
+        assert self._profile_path(tmp_path).exists()
+
+        def _boom(self, *args, **kwargs):
+            raise AssertionError("Step 1 ran despite a warm profile cache")
+
+        monkeypatch.setattr(ResilienceAnalyzer, "run", _boom)
+        second = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
+        loaded = second.resilience_profile()
+        assert np.array_equal(loaded.accuracies, profile.accuracies)
+        assert loaded.clean_accuracy == profile.clean_accuracy
+        for statistic in ("max", "mean"):
+            assert second.framework().build_policy(statistic).epochs_for_population(
+                population
+            ) == first.framework().build_policy(statistic).epochs_for_population(population)
+
+    def test_profile_not_persisted_without_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        context = ExperimentContext.from_preset(self._tiny_preset(), use_cache=False)
+        assert context.disk_cache_dir is None
+        context.resilience_profile()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda path: path.write_bytes(b"garbage"),
+            lambda path: path.write_bytes(path.read_bytes()[:40]),
+            lambda path: path.write_text(json.dumps([1, 2])),
+            lambda path: _edit_profile(path, fault_rates=lambda rates: rates[:-1] + [0.99]),
+            lambda path: _edit_profile(
+                path, epoch_checkpoints=lambda checkpoints: [0.0] + [c * 2 for c in checkpoints[1:]]
+            ),
+            lambda path: _edit_profile(
+                path, accuracies=lambda grid: [rate[:1] for rate in grid]
+            ),
+            lambda path: _edit_profile(path, clean_accuracy=lambda value: value - 0.125),
+        ],
+        ids=["garbage", "torn", "not-a-dict", "rates", "checkpoints", "trials", "clean-accuracy"],
+    )
+    def test_bad_profile_entry_is_recomputed(self, tmp_path, monkeypatch, mutate):
+        preset = self._tiny_preset()
+        first = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
+        expected = first.resilience_profile().to_dict()
+        path = self._profile_path(tmp_path)
+        mutate(path)
+
+        calls = self._count_analyzer_runs(monkeypatch)
+        second = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
+        assert second.resilience_profile().to_dict() == expected
+        assert len(calls) == 1
+        # The recomputed profile replaced the bad entry.
+        assert json.loads(path.read_text()) == expected
+
+    def test_force_recomputes_and_rewrites_entry(self, tmp_path, monkeypatch):
+        preset = self._tiny_preset()
+        first = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
+        expected = first.resilience_profile().to_dict()
+        path = self._profile_path(tmp_path)
+        # A consistent but different entry is a hit, so it is what loads ...
+        _edit_profile(path, accuracies=lambda grid: [[[0.5] * len(t) for t in r] for r in grid])
+
+        calls = self._count_analyzer_runs(monkeypatch)
+        second = ExperimentContext.from_preset(preset, use_cache=False, disk_cache_dir=tmp_path)
+        assert np.all(second.resilience_profile().accuracies == 0.5)
+        assert not calls
+        # ... until force=True recomputes the profile and overwrites the entry.
+        assert second.resilience_profile(force=True).to_dict() == expected
+        assert len(calls) == 1
+        assert json.loads(path.read_text()) == expected
+
+    def test_step1_span_and_counters_report_cache_state(self, tmp_path, monkeypatch):
+        from repro.observability import metrics, read_shard, trace
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        preset = self._tiny_preset()
+        trace.enable(tmp_path / "trace")
+        metrics.reset()
+        metrics.enabled = True
+        try:
+            for cache_dir in (None, tmp_path / "cache", tmp_path / "cache"):
+                context = ExperimentContext.from_preset(
+                    preset, use_cache=False, disk_cache_dir=cache_dir
+                )
+                context.resilience_profile()
+            trace.flush()
+            events = read_shard(trace.shard_path())
+            counters = metrics.snapshot()
+        finally:
+            trace.disable()
+            metrics.enabled = False
+            metrics.reset()
+        spans = [e for e in events if e["name"] == "step1.profile"]
+        assert [span["attrs"]["cache"] for span in spans] == ["off", "miss", "hit"]
+        assert counters["step1.profile_cache_hits"]["value"] == 1
+        assert counters["step1.profile_cache_misses"]["value"] == 1
+
+    def test_reduce_campaign_with_warm_profile_cache_is_byte_identical(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.core.resilience import ResilienceAnalyzer
+
+        def run(campaign_dir):
+            # A fresh in-memory context cache per run, as in a new process.
+            monkeypatch.setattr("repro.experiments.common._CONTEXT_CACHE", {})
+            argv = [
+                "campaign", "--preset", "smoke", "--chips", "3",
+                "--policy", "reduce-mean",
+                "--cache-dir", str(tmp_path / "cache"),
+                "--campaign-dir", str(tmp_path / campaign_dir),
+            ]
+            assert main(argv) == 0
+            assert "executed=3" in capsys.readouterr().out
+            (results,) = (tmp_path / campaign_dir).glob("*/results.jsonl")
+            return results.read_bytes()
+
+        cold = run("first")
+        assert list((tmp_path / "cache").glob("*.profile.json"))
+
+        def _boom(self, *args, **kwargs):
+            raise AssertionError("Step 1 ran despite a warm profile cache")
+
+        monkeypatch.setattr(ResilienceAnalyzer, "run", _boom)
+        assert run("second") == cold
+
+
+def _edit_profile(path, **edits):
+    """Rewrite fields of a cached profile entry in place."""
+    data = json.loads(path.read_text())
+    for key, edit in edits.items():
+        data[key] = edit(data[key])
+    path.write_text(json.dumps(data))
 
 
 class TestCampaignCli:

@@ -258,6 +258,20 @@ class TestSummary:
             assert phase.split(".", 1)[1] in rendered
         assert "#" in rendered
 
+    def test_step1_profile_span_reports_its_cache_state(self):
+        events = self._events() + [
+            {
+                "name": "step1.profile", "start": -1.0, "duration": 0.25, "pid": 1,
+                "attrs": {"preset": "smoke", "cache": "hit"},
+            },
+        ]
+        summary = summarize_trace(events)
+        assert summary["step1"] == [{"seconds": 0.25, "cache": "hit"}]
+        # Step 1 runs before campaign.run, so it is not one of its phases.
+        assert summary["accounted_percent"] == pytest.approx(95.0)
+        assert "Step-1 profile: 250.0ms (disk cache hit)" in render_trace_summary(summary)
+        assert "Step-1 profile" not in render_trace_summary(summarize_trace(self._events()))
+
     def test_load_trace_from_dir_shard_and_chrome_json(self, tmp_path):
         trace.enable(tmp_path)
         with trace.span("campaign.run"):

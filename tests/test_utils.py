@@ -129,6 +129,38 @@ class TestConfig:
         assert loaded["name"] == "x"
         assert loaded["values"] == [1, 2, 3]
 
+    def test_concurrent_atomic_writers_never_expose_a_torn_file(self, tmp_path):
+        import multiprocessing
+
+        path = tmp_path / "entry.json"
+        save_json(_atomic_payload(), path, atomic=True)
+        context = multiprocessing.get_context("spawn")
+        writers = [
+            context.Process(target=_atomic_writer, args=(str(path), 20)) for _ in range(3)
+        ]
+        for writer in writers:
+            writer.start()
+        torn = 0
+        while any(writer.is_alive() for writer in writers):
+            try:
+                assert load_json(path) == _atomic_payload()
+            except ValueError:
+                torn += 1
+        for writer in writers:
+            writer.join(timeout=60)
+            assert not writer.is_alive() and writer.exitcode == 0
+        assert torn == 0
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+def _atomic_payload():
+    return {"rows": [[float(i) / 7.0] * 64 for i in range(64)]}
+
+
+def _atomic_writer(path, rounds):
+    for _ in range(rounds):
+        save_json(_atomic_payload(), path, atomic=True)
+
 
 class TestTiming:
     def test_format_duration(self):
