@@ -2,8 +2,8 @@
 
 The campaign engine shards per-chip fault-aware retraining across worker
 processes.  These benchmarks retrain a slice of the fast-preset chip
-population under a fixed budget once serially and once through a
-multiprocessing pool, record chips/second for both, and assert the paper's
+population under a fixed budget once serially and once through local
+socket worker processes, record chips/second for both, and assert the paper's
 invariant that parallelism must not change results: serial and parallel runs
 are bit-identical.
 """
@@ -241,12 +241,12 @@ def test_bench_campaign_tracing_on(benchmark, fast_context, bench_population, tm
 
 
 def test_bench_campaign_supervised_kill_recovery(benchmark, fast_context, bench_population):
-    """Supervised dispatch with one injected worker SIGKILL mid-campaign.
+    """``--jobs N`` dispatch with one injected worker SIGKILL mid-campaign.
 
-    Pins the price of the recovery path — dead-worker detection, respawn,
-    and one chunk re-execution — against ``test_bench_campaign_parallel``'s
-    undisturbed dispatch, and asserts the headline guarantee: recovery is
-    invisible in the results.
+    Pins the price of the recovery path — dropped-link detection, reaping
+    and respawning the local worker, and one chunk re-execution — against
+    ``test_bench_campaign_parallel``'s undisturbed dispatch, and asserts the
+    headline guarantee: recovery is invisible in the results.
     """
     baseline = CampaignEngine(fast_context, jobs=PARALLEL_JOBS, fat_batch=FAT_BATCH).run(
         bench_population, FixedEpochPolicy(BUDGET)
@@ -256,7 +256,7 @@ def test_bench_campaign_supervised_kill_recovery(benchmark, fast_context, bench_
         jobs=PARALLEL_JOBS,
         fat_batch=FAT_BATCH,
         chaos="seed=3,kill=1",
-        supervisor_config=SupervisorConfig(backoff_base=0.05, poll_interval=0.02),
+        supervisor_config=SupervisorConfig(backoff_base=0.05),
     )
     campaign = run_once(benchmark, engine.run, bench_population, FixedEpochPolicy(BUDGET))
     _record_throughput(benchmark, engine)

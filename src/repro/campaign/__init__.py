@@ -2,19 +2,20 @@
 
 This package is the layer between the per-chip math of
 :mod:`repro.core.reduce` and the figure runners: it freezes Step 2 decisions
-into picklable per-chip jobs, shards them across supervised worker processes
-(with worker-death/hang recovery and poison-chunk quarantine — see
-:mod:`repro.campaign.supervisor`) and persists results to a checksummed,
+into picklable per-chip jobs, executes them in chunks — inline at
+``jobs == 1``, otherwise through one socket coordinator serving local and
+remote worker processes — and persists results to a checksummed,
 content-addressed JSONL store that supports resuming interrupted campaigns
-and verifying store integrity.  A deterministic chaos harness
-(:mod:`repro.campaign.chaos`) exercises every recovery path from tests.
+and verifying store integrity.  Both executors share one retry/quarantine
+chunk ledger (:mod:`repro.campaign.supervisor`), and a deterministic chaos
+harness (:mod:`repro.campaign.chaos`) exercises every recovery path from
+tests.
 
-Campaigns also scale past one host: :mod:`repro.campaign.transport` frames
-JSON messages over TCP sockets with a versioned hello handshake, and
-:mod:`repro.campaign.scheduler` serves plan chunks to local *and* remote
-socket workers via work-stealing claims, reusing the supervisor's
-retry/quarantine chunk ledger so distributed recovery matches local
-recovery exactly.
+:mod:`repro.campaign.transport` frames JSON messages over TCP sockets with a
+versioned hello handshake, and :mod:`repro.campaign.scheduler` serves plan
+chunks to socket workers via work-stealing claims.  ``--jobs N`` workers
+join over loopback; remote workers join the same coordinator from other
+hosts, so distributed recovery is local recovery.
 """
 
 from repro.campaign.chaos import CHAOS_ENV_VAR, ChaosError, ChaosSpec, resolve_chaos
@@ -45,7 +46,6 @@ from repro.campaign.scheduler import (
 from repro.campaign.supervisor import (
     ChunkFailure,
     ChunkLedger,
-    SupervisingExecutor,
     SupervisorConfig,
 )
 from repro.campaign.sweep import StrategySweepResult, run_strategy_sweep
@@ -81,7 +81,6 @@ __all__ = [
     "discover_stores",
     "ChunkFailure",
     "ChunkLedger",
-    "SupervisingExecutor",
     "SupervisorConfig",
     "StrategySweepResult",
     "run_strategy_sweep",

@@ -1,16 +1,16 @@
-"""Deterministic chaos harness for the campaign supervisor.
+"""Deterministic chaos harness for the campaign executor.
 
 Fault-tolerance code that is only exercised by real 3 a.m. failures is
-unverified code.  This module turns the failure modes the supervisor must
+unverified code.  This module turns the failure modes the executor must
 survive into a *seeded, planned* fault schedule so every recovery path runs
 in tests and CI:
 
 * ``kill`` — the worker SIGKILLs itself at the start of a planned chunk
-  attempt (an OOM-killer stand-in; the supervisor must detect the dead
-  process and reassign the chunk).
+  attempt (an OOM-killer stand-in; the coordinator must notice the dropped
+  link, reap the process and reassign the chunk).
 * ``hang`` — the worker sleeps ``hang_s`` seconds before executing a planned
-  chunk (a wedged-BLAS stand-in; the supervisor's deadline must fire, or the
-  sleep ends and the chunk completes late — either way the campaign finishes).
+  chunk (a wedged-BLAS stand-in; the chunk deadline must fire, or the sleep
+  ends and the chunk completes late — either way the campaign finishes).
 * ``exc`` — a transient :class:`ChaosError` is raised on the first attempt of
   a planned chunk (the retry path without losing the worker).
 * ``poison`` — :class:`ChaosError` on *every* attempt of a planned chunk
@@ -24,7 +24,10 @@ A schedule is a pure function of ``(spec, number of plan chunks)``: the spec
 string carries an explicit seed, planned chunk indices are drawn with
 ``random.Random(seed)``, and kill/hang/exc faults fire only on a chunk's
 first attempt — so a chaos campaign always terminates and (except for
-``poison`` chunks) commits bit-identical rows to an undisturbed run.
+``poison`` chunks) commits bit-identical rows to an undisturbed run.  The
+schedule stays with the parent: the coordinator puts each attempt's planned
+action in its ``chunk`` frame and the socket worker injects it with
+:func:`inject_fault`, so chaos reaches every worker, local or remote.
 
 Spec grammar (``--chaos SPEC`` / ``REPRO_CHAOS``)::
 
@@ -168,13 +171,13 @@ class ChaosSpec:
 
 @dataclasses.dataclass
 class ChaosSchedule:
-    """A planned fault schedule for one campaign run (picklable).
+    """A planned fault schedule for one campaign run.
 
     ``actions`` maps plan-chunk index -> fault action; ``torn_points`` are
     parent-side append indices after which a torn fragment is written.  The
-    schedule is shipped to every worker (including respawned replacements)
-    through the initializer, so which process executes a chunk never changes
-    which faults fire.
+    schedule lives in the parent, which looks up each dispatched attempt's
+    action, so which process executes a chunk never changes which faults
+    fire.
     """
 
     spec: ChaosSpec
@@ -205,36 +208,9 @@ class ChaosSchedule:
         process is not a recoverable fault, it is the driver's own death.
         """
         action = self.action_for(chunk_index, attempt)
-        if action is None:
+        if action in ("kill", "hang") and not allow_process_faults:
             return
-        if action == "kill":
-            if not allow_process_faults:
-                return
-            logger.warning(
-                "chaos: SIGKILL of pid %d on chunk %d attempt %d",
-                os.getpid(),
-                chunk_index,
-                attempt,
-            )
-            trace.flush()
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif action == "hang":
-            if not allow_process_faults:
-                return
-            logger.warning(
-                "chaos: hanging pid %d for %.1fs on chunk %d attempt %d",
-                os.getpid(),
-                self.spec.hang_s,
-                chunk_index,
-                attempt,
-            )
-            metrics.counter("chaos.hangs_injected").inc()
-            time.sleep(self.spec.hang_s)
-        elif action in ("exc", "poison"):
-            metrics.counter("chaos.exceptions_injected").inc()
-            raise ChaosError(
-                f"injected {action} failure on chunk {chunk_index} attempt {attempt}"
-            )
+        inject_fault(action, chunk_index, attempt, self.spec.hang_s)
 
     def maybe_tear(self, store) -> None:
         """After a parent-side append, maybe write a torn trailing fragment.
@@ -251,6 +227,40 @@ class ChaosSchedule:
         metrics.counter("chaos.torn_writes_injected").inc()
         with store.results_path.open("a", encoding="utf-8") as handle:
             handle.write('{"chip_id": "chaos-torn-fragment", "accuracy_af')
+
+
+def inject_fault(
+    action: Optional[str], chunk_index: int, attempt: int, hang_s: float
+) -> None:
+    """Inject one planned fault (``None`` = none) into the current process."""
+    if action is None:
+        return
+    if action == "kill":
+        logger.warning(
+            "chaos: SIGKILL of pid %d on chunk %d attempt %d",
+            os.getpid(),
+            chunk_index,
+            attempt,
+        )
+        trace.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+    elif action == "hang":
+        logger.warning(
+            "chaos: hanging pid %d for %.1fs on chunk %d attempt %d",
+            os.getpid(),
+            hang_s,
+            chunk_index,
+            attempt,
+        )
+        metrics.counter("chaos.hangs_injected").inc()
+        time.sleep(hang_s)
+    elif action in ("exc", "poison"):
+        metrics.counter("chaos.exceptions_injected").inc()
+        raise ChaosError(
+            f"injected {action} failure on chunk {chunk_index} attempt {attempt}"
+        )
+    else:
+        raise ValueError(f"unknown chaos action {action!r}")
 
 
 def resolve_chaos(spec) -> Optional[ChaosSpec]:

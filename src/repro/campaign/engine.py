@@ -7,35 +7,36 @@ workload in two stages:
   is frozen into picklable :class:`~repro.campaign.jobs.ChipJob` units; the
   pending jobs are then partitioned into same-budget *chunks* of at most
   ``fat_batch`` jobs (:func:`~repro.campaign.jobs.plan_job_chunks`).
-* **Execute.** Whole chunks — not single chips — are dispatched to a set of
-  supervised worker processes (``jobs > 1``;
-  :class:`~repro.campaign.supervisor.SupervisingExecutor`), to a
-  socket-transport worker fleet (``listen=``/``workers=``;
-  :class:`~repro.campaign.scheduler.CampaignCoordinator`), or executed
-  inline (``jobs == 1``).  A multi-job chunk runs through one stacked
+* **Execute.** Whole chunks — not single chips — are executed by one of
+  two executors.  ``jobs == 1`` runs them inline, in this process.
+  Otherwise a :class:`~repro.campaign.scheduler.CampaignCoordinator` serves
+  them to socket workers: ``jobs`` local worker processes that join over
+  loopback, plus any remote workers (``listen=``/``workers=``).  A
+  multi-job chunk runs through one stacked
   :class:`~repro.accelerator.batched.BatchedFaultTrainer`, so process-level
   parallelism and stacked-GEMM batching compose: ``--jobs N`` workers each
   retrain ``--fat-batch`` chips per dispatch.
 
-In distributed mode the engine owns a coordinator from construction time:
-remote workers join over TCP (``repro-reduce worker --join HOST:PORT``)
-while ``jobs`` local socket workers are forked lazily at the first
-distributed execution.  Chunks are pulled via work-stealing claims, results
-commit through the same content-addressed store on the coordinator host,
-and the population-shared retraining seed makes every chunk bit-identical
-no matter which host executed it — a distributed campaign resumes and
-fingerprints exactly like a local one.
+A local fleet is created at the first run that needs one and serves every
+later run of the engine; a distributed engine owns its coordinator from
+construction time, so remote workers can join (``repro-reduce worker
+--join HOST:PORT``) before the first run.  Chunks are pulled via
+work-stealing claims, results commit through the same content-addressed
+store in this process, and the population-shared retraining seed makes
+every chunk bit-identical no matter which process or host executed it — a
+distributed campaign resumes and fingerprints exactly like a local one.
 
-Execution is fault-tolerant: the supervisor detects dead workers (OOM kills,
-crashes) and hung chunks (per-chunk deadlines), reassigns the chunk to a
-healthy worker with capped retries and exponential backoff, and quarantines
-chunks that keep failing — the campaign completes every other chip and
-reports the casualties in ``CampaignResult.failed_chips`` (and the store's
-``quarantine.jsonl``) instead of crashing.  The inline executor applies the
-same retry/quarantine policy to in-process exceptions.  A deterministic
-chaos harness (:mod:`repro.campaign.chaos`, ``chaos=``/``--chaos``) injects
-worker SIGKILLs, hangs, transient exceptions and torn trailing writes at
-seeded points so every one of those recovery paths is exercised in tests.
+Execution is fault-tolerant.  Both executors drive one
+:class:`~repro.campaign.supervisor.ChunkLedger`: a chunk whose execution
+raises, or whose worker dies, disconnects or blows its deadline, is retried
+with capped exponential backoff, and a chunk that keeps failing is
+quarantined — the campaign completes every other chip and reports the
+casualties in ``CampaignResult.failed_chips`` (and the store's
+``quarantine.jsonl``) instead of crashing.  A deterministic chaos harness
+(:mod:`repro.campaign.chaos`, ``chaos=``/``--chaos``) injects worker
+SIGKILLs, hangs, transient exceptions and torn trailing writes at seeded
+points so every one of those recovery paths is exercised in tests; kill and
+hang are no-ops inline.
 
 With a store base directory the engine persists every finished chunk to a
 content-addressed JSONL store (one fsync per chunk — the group-result
@@ -56,9 +57,8 @@ per-chip values.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import sys
 import time
+import weakref
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -69,19 +69,12 @@ from repro.campaign.jobs import (
     execute_job_chunk,
     plan_job_chunks,
 )
-from repro.campaign.scheduler import (
-    CampaignCoordinator,
-    SchedulerConfig,
-    _local_worker_main,
-)
+from repro.campaign.scheduler import CampaignCoordinator, SchedulerConfig
 from repro.campaign.store import CampaignStore, campaign_fingerprint
-from repro.campaign.supervisor import (
-    ChunkFailure,
-    SupervisingExecutor,
-    SupervisorConfig,
-)
+from repro.campaign.transport import format_address
+from repro.campaign.supervisor import ChunkFailure, ChunkLedger, SupervisorConfig
 from repro.core.chips import ChipPopulation
-from repro.core.reduce import CampaignResult, ChipRetrainingResult, ReduceFramework
+from repro.core.reduce import CampaignResult, ChipRetrainingResult
 from repro.core.selection import FixedEpochPolicy, RetrainingPolicy
 from repro.mitigation.strategy import StrategyLike, resolve_strategy
 from repro.observability import (
@@ -96,109 +89,6 @@ from repro.utils.timing import Timer, format_duration
 logger = get_logger("campaign.engine")
 
 PathLike = Union[str, Path]
-
-# Per-worker framework, built once by the pool initializer.  Under the
-# ``fork`` start method the worker inherits the parent's in-memory context
-# cache, so initialization is instant; under ``spawn`` the context is rebuilt
-# (hitting the on-disk pre-trained-state cache when one is configured).
-_WORKER_FRAMEWORK: Optional[ReduceFramework] = None
-_WORKER_FAT_BATCH: int = 1
-_WORKER_OBS_DIR: Optional[str] = None
-
-
-def _initialize_worker(
-    preset,
-    disk_cache_dir: Optional[str],
-    fat_batch: int,
-    trace_dir: Optional[str] = None,
-    metrics_enabled: bool = False,
-    prefetch: bool = True,
-    lowering_cache_mb: Optional[float] = None,
-) -> None:
-    global _WORKER_FRAMEWORK, _WORKER_FAT_BATCH, _WORKER_OBS_DIR
-    from repro.experiments.common import ExperimentContext
-
-    # Observability propagates through the dispatch path: each worker records
-    # spans into its own pid-keyed shard of the parent's trace directory.
-    # ``enable`` is explicit for spawn-started workers; fork-started workers
-    # would inherit an enabled tracer anyway, but re-enabling also drops any
-    # inherited file handle so the worker never writes to the parent's shard.
-    if trace_dir is not None:
-        trace.enable(trace_dir)
-    metrics.enabled = bool(metrics_enabled)
-    # Fork-started workers inherit the parent's counter values; a worker
-    # shard must only report work done *in* this process, or merging would
-    # double-count everything the parent recorded before the fork.
-    metrics.reset()
-    _WORKER_OBS_DIR = trace_dir
-    context = ExperimentContext.from_preset(preset, disk_cache_dir=disk_cache_dir)
-    # Configure before building the framework so every framework this worker
-    # creates shares the context's (possibly fork-inherited, already warm)
-    # lowering cache with the right knobs.
-    context.configure_eval_pipeline(
-        prefetch=prefetch, lowering_cache_mb=lowering_cache_mb
-    )
-    _WORKER_FRAMEWORK = context.framework()
-    _WORKER_FAT_BATCH = fat_batch
-
-
-def _execute_chunk_in_worker(
-    chunk: List[ChipJob], attempt: int = 0
-) -> List[ChipRetrainingResult]:
-    assert _WORKER_FRAMEWORK is not None, "worker initializer did not run"
-    results = execute_job_chunk(
-        _WORKER_FRAMEWORK, chunk, fat_batch=_WORKER_FAT_BATCH, attempt=attempt
-    )
-    if _WORKER_OBS_DIR is not None:
-        # Atomic per-pid replace: cheap, idempotent, and always current so a
-        # killed worker still leaves its latest snapshot behind.
-        metrics.write_shard(_WORKER_OBS_DIR)
-    return results
-
-
-def _supervised_worker_initializer(
-    preset,
-    disk_cache_dir: Optional[str],
-    fat_batch: int,
-    trace_dir: Optional[str],
-    metrics_enabled: bool,
-    chaos_schedule: Optional[ChaosSchedule],
-    prefetch: bool = True,
-    lowering_cache_mb: Optional[float] = None,
-):
-    """Build the per-process chunk executor for the supervising executor.
-
-    Runs once in each (possibly respawned) worker: initializes the framework
-    and observability exactly like the old pool initializer, then returns
-    the ``execute(chunk, chunk_index, attempt)`` callable the supervisor
-    drives.  The chaos schedule travels with the initializer args, so a
-    replacement worker fires the same planned faults as the one it replaced.
-    """
-    _initialize_worker(
-        preset, disk_cache_dir, fat_batch, trace_dir, metrics_enabled,
-        prefetch=prefetch, lowering_cache_mb=lowering_cache_mb,
-    )
-
-    def execute(
-        chunk: List[ChipJob], chunk_index: int, attempt: int
-    ) -> List[ChipRetrainingResult]:
-        if chaos_schedule is not None:
-            chaos_schedule.maybe_inject(chunk_index, attempt)
-        return _execute_chunk_in_worker(chunk, attempt=attempt)
-
-    return execute
-
-
-def _start_method() -> str:
-    # Fork is preferred where reliable (workers inherit the parent's context
-    # cache for free), but macOS system frameworks are not fork-safe — the
-    # reason CPython made spawn the macOS default — so fork is used on Linux
-    # only.  Spawned workers rebuild their context, hitting the on-disk
-    # pre-trained-state cache when one is configured.
-    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
-        return "fork"
-    return "spawn"
-
 
 @dataclasses.dataclass
 class CampaignReport:
@@ -247,8 +137,9 @@ class CampaignEngine:
         An :class:`~repro.experiments.common.ExperimentContext` providing the
         pre-trained model, dataset and array.
     jobs:
-        Number of worker processes; ``1`` (the default) executes inline with
-        no multiprocessing involved.
+        Number of local worker processes; ``1`` (the default) executes
+        inline with no multiprocessing involved.  ``jobs > 1`` forks that
+        many socket workers joined to a loopback coordinator.
     store_base:
         Base directory for persistent result stores.  ``None`` keeps results
         in memory only (the legacy behaviour).
@@ -257,8 +148,9 @@ class CampaignEngine:
     progress:
         Log one line per completed chip.
     disk_cache_dir:
-        Forwarded to workers so spawned processes can load the pre-trained
-        state from the on-disk context cache instead of re-pre-training.
+        Forwarded to local workers so spawn-started processes can load the
+        pre-trained state from the on-disk context cache instead of
+        re-pre-training.
     fat_batch:
         Maximum number of same-budget chips retrained together in one
         stacked batched-FAT run — the plan chunk size.  Applies to the
@@ -283,7 +175,7 @@ class CampaignEngine:
         chunks are bit-identical — it only exercises the recovery paths.
     supervisor_config:
         Full :class:`~repro.campaign.supervisor.SupervisorConfig` override
-        (tests tune backoff/poll intervals through this).  When given, it is
+        (tests tune backoff and deadlines through this).  When given, it is
         used verbatim and ``max_chunk_retries``/``chunk_timeout`` are
         ignored.
     prefetch:
@@ -310,8 +202,12 @@ class CampaignEngine:
         ``0`` (remote-only execution).
     scheduler_config:
         Transport knobs (:class:`~repro.campaign.scheduler.SchedulerConfig`)
-        of the distributed coordinator; chunk retry/deadline policy stays in
-        ``supervisor_config`` and is shared with the local executor.
+        of the coordinator; chunk retry/deadline policy stays in
+        ``supervisor_config`` and is shared with the inline executor.
+
+    An engine that started worker processes should be closed (``close()``
+    or a ``with`` block); otherwise they are reaped when the engine is
+    garbage-collected.
     """
 
     DEFAULT_FAT_BATCH = 8
@@ -382,28 +278,13 @@ class CampaignEngine:
             )
         self.last_report: Optional[CampaignReport] = None
 
+        self.scheduler_config = scheduler_config
         self._coordinator: Optional[CampaignCoordinator] = None
-        self._local_socket_workers: List[multiprocessing.process.BaseProcess] = []
+        self._close_coordinator: Optional[weakref.finalize] = None
         self.listen_address: Optional[Tuple[str, int]] = None
         if self.distributed:
-            self._coordinator = CampaignCoordinator(
-                preset=context.preset,
-                listen=listen,
-                connect=list(workers or ()),
-                fat_batch=self.fat_batch,
-                prefetch=self.prefetch,
-                lowering_cache_mb=self.lowering_cache_mb,
-                supervisor_config=self.supervisor_config,
-                config=scheduler_config,
-            )
+            self._start_coordinator(listen=listen, connect=list(workers or ()))
             self.listen_address = self._coordinator.address
-            if self.chaos_spec is not None:
-                logger.warning(
-                    "campaign: chaos process faults are not propagated to "
-                    "socket workers (kill them externally to exercise the "
-                    "distributed recovery path); torn-write injection still "
-                    "applies coordinator-side"
-                )
 
     # -- public API ---------------------------------------------------------------
 
@@ -629,23 +510,23 @@ class CampaignEngine:
                     self.fat_batch,
                 )
             started = time.monotonic()
-            # Triaged zero-epoch jobs are pure result-row lookups: spinning
-            # up a pool (whose workers rebuild a framework each) to format
-            # them would cost far more than executing them here, so
-            # non-retraining strategy campaigns always run inline.
+            # Triaged zero-epoch jobs are pure result-row lookups: shipping
+            # them to workers would cost far more than executing them here,
+            # so non-retraining strategy campaigns always run inline.
             all_lookups = all(
                 job.epochs == 0 and job.accuracy_before is not None
                 for job in pending
             )
             metrics.gauge("campaign.phase").set("execute")
+            use_workers = self._coordinator is not None or (
+                self.jobs > 1 and len(plan) > 1
+            )
             with trace.span(
                 "campaign.execute", chunks=len(plan), chips=len(pending)
             ):
-                if self._coordinator is not None and not all_lookups:
-                    failures = self._execute_distributed(plan, record_chunk, strategy)
-                elif self.jobs > 1 and len(plan) > 1 and not all_lookups:
-                    failures = self._execute_parallel(
-                        plan, record_chunk, chaos_schedule
+                if use_workers and not all_lookups:
+                    failures = self._execute_on_workers(
+                        plan, record_chunk, strategy, chaos_schedule
                     )
                 else:
                     failures = self._execute_inline(
@@ -765,206 +646,99 @@ class CampaignEngine:
 
         Results are recorded (and persisted) after every chunk, so a killed
         campaign loses at most the chunk in flight rather than a whole
-        budget group.  The supervisor's retry/quarantine policy applies here
-        too: a chunk that raises is retried (with backoff) up to
+        budget group.  Chunks run against the same
+        :class:`~repro.campaign.supervisor.ChunkLedger` the coordinator
+        drives: a chunk that raises is retried (after its backoff) up to
         ``max_chunk_retries`` times and then quarantined, so one poisoned
-        chip cannot take down an otherwise healthy inline campaign.  Chaos
-        process faults (kill/hang) are downgraded to no-ops inline — killing
-        the only process is not a recoverable fault.
+        chip cannot take down an otherwise healthy inline campaign.  Each
+        chunk is settled before the next one starts, so commits stay in plan
+        order.  Chaos process faults (kill/hang) are downgraded to no-ops
+        inline — killing the only process is not a recoverable fault.
         """
-        config = self.supervisor_config
-        failures: List[ChunkFailure] = []
-        for index, chunk in enumerate(plan):
-            attempt = 0
-            while True:
+        ledger = ChunkLedger(plan, self.supervisor_config)
+        for state in ledger.chunks:
+            while state.status == "pending":
+                delay = state.not_before - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+                attempt = ledger.start(state)
+                started = time.monotonic()
                 try:
                     if chaos_schedule is not None:
                         chaos_schedule.maybe_inject(
-                            index, attempt, allow_process_faults=False
+                            state.index, attempt, allow_process_faults=False
                         )
                     results = execute_job_chunk(
-                        framework, chunk, fat_batch=self.fat_batch, attempt=attempt
+                        framework, state.chunk, fat_batch=self.fat_batch, attempt=attempt
                     )
                 except Exception as error:  # noqa: BLE001 - quarantine boundary
-                    attempt += 1
-                    if attempt > config.max_chunk_retries:
-                        metrics.counter("campaign.chunks_quarantined").inc()
-                        trace.instant(
-                            "campaign.chunk_quarantined",
-                            chunk=index,
-                            attempts=attempt,
-                            error=repr(error),
-                        )
-                        logger.error(
-                            "campaign: quarantining chunk %d after %d attempt(s): %r",
-                            index,
-                            attempt,
-                            error,
-                        )
-                        failures.append(
-                            ChunkFailure(
-                                chunk=list(chunk), attempts=attempt, error=repr(error)
-                            )
-                        )
-                        break
-                    metrics.counter("campaign.chunk_retries").inc()
-                    trace.instant(
-                        "campaign.chunk_retry",
-                        chunk=index,
-                        attempt=attempt,
-                        cause="exception",
-                    )
-                    backoff = config.backoff_seconds(attempt)
-                    logger.warning(
-                        "campaign: chunk %d failed inline (attempt %d/%d), "
-                        "retrying in %.2fs: %r",
-                        index,
-                        attempt,
-                        config.max_chunk_retries + 1,
-                        backoff,
-                        error,
-                    )
-                    if backoff > 0:
-                        time.sleep(backoff)
+                    ledger.fail(state, repr(error), time.monotonic())
                 else:
+                    ledger.complete(state, time.monotonic() - started)
                     record_chunk(results)
-                    break
-        return failures
+        return ledger.failures
 
-    # -- executor: parallel dispatch -------------------------------------------------
-
-    def _execute_parallel(
-        self,
-        plan: Sequence[List[ChipJob]],
-        record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
-        chaos_schedule: Optional[ChaosSchedule] = None,
-    ) -> List[ChunkFailure]:
-        """Dispatch whole plan chunks to supervised worker processes.
-
-        Each dispatch hands a worker one batched chunk (the unit of both
-        stacked-GEMM coalescing and resume granularity); the worker runs it
-        through its own framework — the population-shared FAT seed makes the
-        result independent of which process executes which chunk — and the
-        parent records the whole group as it arrives.  The supervisor owns
-        all recovery decisions: it respawns dead workers, reassigns their
-        in-flight chunks, kills hung workers past the chunk deadline, and
-        quarantines chunks that exhaust their retry budget (returned as
-        :class:`~repro.campaign.supervisor.ChunkFailure` records).
-        """
-        workers = min(self.jobs, len(plan))
-        mp_context = multiprocessing.get_context(_start_method())
-        total_chips = sum(len(chunk) for chunk in plan)
-        logger.info(
-            "campaign: dispatching %d chips in %d chunks across %d supervised "
-            "workers (start=%s, fat_batch=%d, max_chunk_retries=%d)",
-            total_chips,
-            len(plan),
-            workers,
-            mp_context.get_start_method(),
-            self.fat_batch,
-            self.supervisor_config.max_chunk_retries,
-        )
-        trace_dir = (
-            str(trace.directory) if trace.enabled and trace.directory else None
-        )
-        executor = SupervisingExecutor(
-            plan,
-            record_chunk,
-            workers=workers,
-            mp_context=mp_context,
-            initializer=_supervised_worker_initializer,
-            initargs=(
-                self.context.preset,
-                self.disk_cache_dir,
-                self.fat_batch,
-                trace_dir,
-                metrics.enabled,
-                chaos_schedule,
-                self.prefetch,
-                self.lowering_cache_mb,
-            ),
-            config=self.supervisor_config,
-        )
-        return executor.run()
-
-    # -- executor: distributed dispatch ----------------------------------------------
+    # -- executor: socket workers ----------------------------------------------------
 
     def _plan_worker_hint(self) -> int:
-        """Worker count for plan sizing (local pool or socket fleet)."""
+        """Worker count for plan sizing (each local or remote worker once)."""
         if self._coordinator is None:
             return max(1, self.jobs)
-        return max(1, self.jobs + self._coordinator.worker_hint())
+        return max(1, self._coordinator.worker_hint())
 
-    def _ensure_local_socket_workers(self) -> None:
-        """Fork ``jobs`` local socket workers joined to our own coordinator.
-
-        Lazy (first distributed execution) so a remote-only campaign never
-        forks, and idempotent across sweep arms — dead workers are replaced.
-        Local workers speak the same socket protocol as remote ones: one
-        execution path, one recovery story.
-        """
-        assert self._coordinator is not None
-        self._local_socket_workers = [
-            process for process in self._local_socket_workers if process.is_alive()
-        ]
-        missing = self.jobs - len(self._local_socket_workers)
-        if missing <= 0:
-            return
-        mp_context = multiprocessing.get_context(_start_method())
-        join_address = ("127.0.0.1", self._coordinator.address[1])
-        for _ in range(missing):
-            process = mp_context.Process(
-                target=_local_worker_main,
-                args=(join_address, self.disk_cache_dir),
-                daemon=True,
-                name="campaign-socket-worker",
-            )
-            process.start()
-            self._local_socket_workers.append(process)
-        logger.info(
-            "campaign: started %d local socket worker(s) joining %s",
-            missing,
-            f"{join_address[0]}:{join_address[1]}",
+    def _start_coordinator(
+        self,
+        listen: Optional[Tuple[str, int]] = None,
+        connect: Sequence[Tuple[str, int]] = (),
+    ) -> None:
+        self._coordinator = CampaignCoordinator(
+            preset=self.context.preset,
+            listen=listen,
+            connect=connect,
+            fat_batch=self.fat_batch,
+            prefetch=self.prefetch,
+            lowering_cache_mb=self.lowering_cache_mb,
+            supervisor_config=self.supervisor_config,
+            config=self.scheduler_config,
+            local_workers=self.jobs,
+            disk_cache_dir=self.disk_cache_dir,
         )
+        # Reaps the worker processes of an engine that is dropped unclosed.
+        self._close_coordinator = weakref.finalize(self, self._coordinator.close)
 
-    def _execute_distributed(
+    def _execute_on_workers(
         self,
         plan: Sequence[List[ChipJob]],
         record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
         strategy,
+        chaos_schedule: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
-        """Serve plan chunks to the socket worker fleet via the coordinator.
+        """Serve plan chunks to socket workers via the coordinator.
 
         Results commit through ``record_chunk`` on this thread exactly like
-        the local executors, so the store/fsync/resume protocol — and the
+        the inline executor, so the store/fsync/resume protocol — and the
         bit-identity guarantee — is unchanged; only the transport differs.
         """
-        assert self._coordinator is not None
-        self._ensure_local_socket_workers()
-        total_chips = sum(len(chunk) for chunk in plan)
+        if self._coordinator is None:
+            self._start_coordinator()
         logger.info(
             "campaign: serving %d chips in %d chunks to socket workers "
             "(%d local, listening on %s)",
-            total_chips,
+            sum(len(chunk) for chunk in plan),
             len(plan),
             self.jobs,
-            f"{self.listen_address[0]}:{self.listen_address[1]}",
+            format_address(self._coordinator.address),
         )
         return self._coordinator.run_plan(
-            plan, record_chunk, strategy=strategy.name
+            plan, record_chunk, strategy=strategy.name, chaos=chaos_schedule
         )
 
     def close(self) -> None:
-        """Shut down the distributed fleet (idempotent; no-op when local)."""
-        if self._coordinator is not None:
-            self._coordinator.close()
-            self._coordinator = None
-        for process in self._local_socket_workers:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - shutdown stragglers
-                process.terminate()
-                process.join(timeout=5.0)
-        self._local_socket_workers = []
+        """Shut down the worker fleet (idempotent; no-op when none started)."""
+        if self._close_coordinator is not None:
+            self._close_coordinator()
+        self._coordinator = None
+        self._close_coordinator = None
 
     def __enter__(self) -> "CampaignEngine":
         return self

@@ -78,7 +78,10 @@ class ChipJob:
         return dataclasses.replace(self, accuracy_before=float(accuracy))
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        # Shallow on purpose: ``dataclasses.asdict`` deep-copies every
+        # fault-map pair, and the coordinator serializes each dispatched
+        # chunk on its one event-loop thread.  Same JSON either way.
+        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChipJob":

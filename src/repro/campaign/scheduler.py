@@ -1,11 +1,14 @@
-"""Distributed campaign scheduler: coordinator + socket worker client.
+"""Campaign scheduler: the coordinator and its socket worker client.
 
-This module generalises the supervised process pool behind a transport: the
-:class:`CampaignCoordinator` serves plan chunks (the exact
-:func:`~repro.campaign.jobs.plan_job_chunks` output the local executor uses)
-to workers that joined over TCP sockets, and :func:`run_worker` is the whole
-worker side — dial (or accept), handshake, build the experiment context from
-the coordinator's serialized preset, then pull chunks until shutdown.
+The :class:`CampaignCoordinator` is the campaign engine's only multi-process
+executor.  It serves plan chunks (the exact
+:func:`~repro.campaign.jobs.plan_job_chunks` output the inline executor
+runs) to workers that joined over TCP sockets, and :func:`run_worker` is the
+whole worker side — dial (or accept), handshake, build the experiment
+context from the coordinator's serialized preset, then pull chunks until
+shutdown.  ``--jobs N`` on one host is the same path over loopback: the
+coordinator forks ``N`` local worker processes that join it like any remote
+worker would.
 
 Work-stealing claims
 --------------------
@@ -21,31 +24,42 @@ Fault tolerance
 ---------------
 All recovery decisions run through the shared
 :class:`~repro.campaign.supervisor.ChunkLedger` — the same retry/backoff/
-quarantine state machine the local pool uses.  A worker is *lost* when its
-socket drops, a frame is malformed, its heartbeats go stale, or its chunk
-outlives the (fixed or adaptive) deadline; the in-flight chunk is failed
-into the ledger, which retries it on the next claiming worker or
-quarantines it past the retry cap.  Because every chunk commits through the
-parent's content-addressed store and the retraining seed is
-population-shared, a re-executed chunk is bit-identical no matter which
-host runs it — a distributed campaign resumes and fingerprints exactly like
-a local one.
+quarantine state machine the inline executor uses.  A worker is *lost* when
+its socket drops, a frame is malformed, its heartbeats go stale, or its
+chunk outlives the (fixed or adaptive) deadline; the in-flight chunk is
+failed into the ledger, which retries it on the next claiming worker or
+quarantines it past the retry cap.  A lost *local* worker is also SIGKILLed
+and reaped, and a replacement is forked while chunks are outstanding.
+Because every chunk commits through the parent's content-addressed store
+and the retraining seed is population-shared, a re-executed chunk is
+bit-identical no matter which host runs it — a distributed campaign resumes
+and fingerprints exactly like a local one.
+
+Chaos injection travels in the chunk frame: the coordinator looks up each
+dispatched attempt's planned fault in the campaign's
+:class:`~repro.campaign.chaos.ChaosSchedule` and the worker injects it, so
+kill/hang/exception faults reach local and remote workers alike.
 
 Observability
 -------------
 On ``campaign_end`` every worker ships its per-``(host, pid)`` trace shard
 and metrics snapshot home over the same socket; the coordinator writes them
 into the campaign's trace directory, so ``repro-reduce trace`` attributes
-cross-host time with no shared filesystem.
+cross-host time with no shared filesystem.  A worker killed mid-campaign
+never ships its shard, so its worker-side counters are lost; the
+coordinator-side recovery counters (``campaign.worker_deaths``,
+``campaign.chunk_retries``, ...) are unaffected.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import selectors
 import socket
 import stat
+import sys
 import tempfile
 import threading
 import time
@@ -53,6 +67,7 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.chaos import ChaosSchedule, inject_fault
 from repro.campaign.jobs import ChipJob, execute_job_chunk
 from repro.campaign.supervisor import (
     ChunkCommitSequencer,
@@ -81,6 +96,7 @@ from repro.campaign.transport import (
     format_address,
     recv_frame,
     send_frame,
+    set_nodelay,
     validate_hello,
     worker_hello,
 )
@@ -108,7 +124,7 @@ class SchedulerConfig:
 
     The chunk retry/deadline policy is *not* here — that lives in
     :class:`~repro.campaign.supervisor.SupervisorConfig` and is shared with
-    the local executor.  These knobs only govern the sockets: how often
+    the inline executor.  These knobs only govern the sockets: how often
     workers beat, when silence counts as death, how long handshakes and
     shard collection may take, and how long the coordinator waits for a
     first worker before declaring the campaign stuck.
@@ -169,7 +185,14 @@ class CampaignCoordinator:
     the campaign is already executing — and ready workers are handed to the
     event loop through a queue.  :meth:`run_plan` runs the event loop on
     the *calling* thread, so the engine's ``record_chunk`` (store append +
-    fsync) executes exactly where the local executor runs it.
+    fsync) executes exactly where the inline executor runs it.
+
+    ``local_workers`` processes are forked at the first :meth:`run_plan`
+    (after the parent has warmed its caches, which fork-started workers
+    inherit) and join over loopback; ``disk_cache_dir`` lets spawn-started
+    ones load the pre-trained state.  The coordinator owns them: a lost
+    local worker is SIGKILLed, reaped and replaced, and :meth:`close` reaps
+    them all.
     """
 
     def __init__(
@@ -182,7 +205,13 @@ class CampaignCoordinator:
         lowering_cache_mb: Optional[float] = None,
         supervisor_config: Optional[SupervisorConfig] = None,
         config: Optional[SchedulerConfig] = None,
+        local_workers: int = 0,
+        disk_cache_dir: Optional[str] = None,
     ) -> None:
+        if local_workers < 0:
+            raise ValueError(f"local_workers must be >= 0, got {local_workers}")
+        self.local_workers = int(local_workers)
+        self.disk_cache_dir = disk_cache_dir
         self.preset_name = str(preset.name)
         self._preset_dict = config_to_dict(preset)
         self.fat_batch = int(fat_batch)
@@ -201,8 +230,15 @@ class CampaignCoordinator:
         self._ready_queue: "Queue[_WorkerLink]" = Queue()
         self._links: Dict[int, _WorkerLink] = {}
         self._selector = selectors.DefaultSelector()
+        # The handshake threads wake the event loop through this pair the
+        # moment a worker is ready, instead of leaving it to the next poll.
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._wake_recv.setblocking(False)
+        self._selector.register(self._wake_recv, selectors.EVENT_READ, data=None)
         self._sequencer: Optional[ChunkCommitSequencer] = None
         self._threads: List[threading.Thread] = []
+        self._local_processes: Dict[int, multiprocessing.process.BaseProcess] = {}
+        self._local_started = 0
 
         bind_address = listen if listen is not None else ("127.0.0.1", 0)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -233,13 +269,64 @@ class CampaignCoordinator:
     # -- join path (background threads) ---------------------------------------
 
     def worker_hint(self) -> int:
-        """How many socket workers exist or are expected (for plan sizing)."""
+        """How many socket workers exist or are expected (for plan sizing).
+
+        Each worker counts once: joined (or joining) workers, plus the local
+        workers not forked yet, and never fewer than the dial targets plus
+        the local fleet.
+        """
         with self._lock:
             pending = self._pending_handshakes
-        return max(
-            len(self._links) + self._ready_queue.qsize() + pending,
-            len(self._connect),
+        joined = len(self._links) + self._ready_queue.qsize() + pending
+        unstarted = self.local_workers - len(self._local_processes)
+        return max(joined + unstarted, len(self._connect) + self.local_workers)
+
+    # -- local worker processes ------------------------------------------------
+
+    def _start_local_workers(self) -> None:
+        """Reap exited local workers and fork replacements up to the target.
+
+        Every fork beyond the first ``local_workers`` replaces a lost worker
+        and counts as a respawn.
+        """
+        for pid, process in list(self._local_processes.items()):
+            if not process.is_alive():
+                process.join()
+                del self._local_processes[pid]
+        missing = self.local_workers - len(self._local_processes)
+        if missing <= 0:
+            return
+        mp_context = multiprocessing.get_context(_start_method())
+        join_address = ("127.0.0.1", self.address[1])
+        for _ in range(missing):
+            if self._local_started >= self.local_workers:
+                metrics.counter("campaign.workers_respawned").inc()
+            process = mp_context.Process(
+                target=_local_worker_main,
+                args=(join_address, self.disk_cache_dir),
+                daemon=True,
+                name="campaign-socket-worker",
+            )
+            process.start()
+            self._local_processes[process.pid] = process
+            self._local_started += 1
+        logger.info(
+            "started %d local socket worker(s) joining %s",
+            missing,
+            format_address(join_address),
         )
+
+    def _local_process(self, link: "_WorkerLink"):
+        """The local worker process behind ``link``, or ``None`` if remote."""
+        if link.host != host_tag():
+            return None
+        return self._local_processes.get(link.pid)
+
+    def _reap_local(self, process) -> None:
+        """SIGKILL and reap one local worker (a no-op kill if it already died)."""
+        process.kill()
+        process.join()
+        self._local_processes.pop(process.pid, None)
 
     def _accept_loop(self) -> None:
         while not self._closed:
@@ -247,7 +334,7 @@ class CampaignCoordinator:
                 sock, peer = self._listener.accept()
             except OSError:
                 return  # listener closed
-            self._begin_handshake(sock, f"{peer[0]}:{peer[1]}")
+            self._begin_handshake(set_nodelay(sock), f"{peer[0]}:{peer[1]}")
 
     def _dial(self, address: Tuple[str, int]) -> None:
         deadline = time.monotonic() + self.config.dial_timeout
@@ -267,7 +354,9 @@ class CampaignCoordinator:
                         return
                     time.sleep(self.config.dial_retry_interval)
                     continue
-                self._begin_handshake(sock, format_address(address), counted=True)
+                self._begin_handshake(
+                    set_nodelay(sock), format_address(address), counted=True
+                )
                 return
         finally:
             with self._lock:
@@ -347,6 +436,7 @@ class CampaignCoordinator:
                 )
                 metrics.counter("campaign.workers_joined").inc()
                 self._ready_queue.put(link)
+                self._wake_send.send(b"\0")
             except (TransportError, OSError, ValueError) as error:
                 logger.warning("handshake with %s failed: %s", peer, error)
                 try:
@@ -365,15 +455,18 @@ class CampaignCoordinator:
         plan: Sequence[List[ChipJob]],
         record_chunk: Callable[[Sequence[ChipRetrainingResult]], None],
         strategy: Optional[str] = None,
+        chaos: Optional[ChaosSchedule] = None,
     ) -> List[ChunkFailure]:
         """Execute one campaign plan over the joined workers.
 
         Blocks until every chunk is done or quarantined; returns the
-        quarantine failures exactly like
-        :meth:`~repro.campaign.supervisor.SupervisingExecutor.run`.
+        quarantined chunks' :class:`~repro.campaign.supervisor.ChunkFailure`
+        records.  ``chaos`` plans the fault each dispatched attempt carries
+        in its chunk frame.
         """
         if self._closed:
             raise SchedulerError("coordinator is closed")
+        self._start_local_workers()
         ledger = ChunkLedger(plan, self.supervisor_config)
         # One sequencer per campaign, owned by this (single-threaded) event
         # loop: chunks complete in claim order across workers, but the store
@@ -396,11 +489,8 @@ class CampaignCoordinator:
             if self._admit_ready(announcement, ledger):
                 last_progress = time.monotonic()
             now = time.monotonic()
-            self._dispatch(ledger, now)
-            events = self._selector.select(timeout=self.config.poll_interval)
-            now = time.monotonic()
-            for key, _ in events:
-                self._service(key.data, ledger, now)
+            self._dispatch(ledger, now, chaos)
+            self._poll(ledger)
             now = time.monotonic()
             self._check_health(ledger, now)
             with self._lock:
@@ -444,7 +534,9 @@ class CampaignCoordinator:
             self._lose(link, f"send failed: {error}", ledger, now)
             return False
 
-    def _dispatch(self, ledger: ChunkLedger, now: float) -> None:
+    def _dispatch(
+        self, ledger: ChunkLedger, now: float, chaos: Optional[ChaosSchedule]
+    ) -> None:
         for link in list(self._links.values()):
             if not link.claimed or link.chunk_index is not None:
                 continue
@@ -456,18 +548,29 @@ class CampaignCoordinator:
             link.chunk_index = state.index
             link.attempt = attempt
             link.dispatched_at = now
-            self._send(
-                link,
-                {
-                    "type": MSG_CHUNK,
-                    "campaign_id": self._campaign_seq,
-                    "chunk_index": state.index,
-                    "attempt": attempt,
-                    "jobs": [job.to_dict() for job in state.chunk],
-                },
-                ledger,
-                now,
-            )
+            frame = {
+                "type": MSG_CHUNK,
+                "campaign_id": self._campaign_seq,
+                "chunk_index": state.index,
+                "attempt": attempt,
+                "jobs": [job.to_dict() for job in state.chunk],
+                "chaos": None,
+            }
+            if chaos is not None:
+                frame["chaos"] = chaos.action_for(state.index, attempt)
+                if frame["chaos"] == "hang":
+                    frame["hang_s"] = chaos.spec.hang_s
+            self._send(link, frame, ledger, now)
+
+    def _poll(self, ledger: ChunkLedger) -> None:
+        """Wait up to one poll interval and service every readable link."""
+        events = self._selector.select(timeout=self.config.poll_interval)
+        now = time.monotonic()
+        for key, _ in events:
+            if key.data is None:
+                self._wake_recv.recv(4096)  # _admit_ready takes the new link
+            else:
+                self._service(key.data, ledger, now)
 
     def _service(
         self,
@@ -553,6 +656,10 @@ class CampaignCoordinator:
         logger.warning("unexpected %r frame from worker %s", kind, link.label)
 
     def _check_health(self, ledger: ChunkLedger, now: float) -> None:
+        if any(not process.is_alive() for process in self._local_processes.values()):
+            # Died before (or while) joining: its link, if any, is lost
+            # through EOF; the process itself is replaced here.
+            self._start_local_workers()
         deadline = ledger.deadline_seconds()
         for link in list(self._links.values()):
             if now - link.last_seen > self.config.heartbeat_timeout:
@@ -611,6 +718,12 @@ class CampaignCoordinator:
                 if state.status == "quarantined" and self._sequencer is not None:
                     self._sequencer.skip(state.index)
         link.chunk_index = None
+        process = self._local_process(link)
+        if process is not None:
+            # A hung worker is still running; a disconnected one may be too.
+            self._reap_local(process)
+            if ledger is not None and ledger.outstanding():
+                self._start_local_workers()
 
     # -- shard collection ------------------------------------------------------
 
@@ -633,10 +746,7 @@ class CampaignCoordinator:
             ]
             if not waiting:
                 return
-            events = self._selector.select(timeout=self.config.poll_interval)
-            now = time.monotonic()
-            for key, _ in events:
-                self._service(key.data, ledger, now)
+            self._poll(ledger)
         if any(
             link.shards_campaign < self._campaign_seq
             for link in self._links.values()
@@ -677,9 +787,12 @@ class CampaignCoordinator:
             return
         self._closed = True
         try:
-            self._listener.close()
+            # Closing alone does not wake the accept thread blocked on the
+            # listener; shutting it down does.
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         # Drain late joiners so their sockets are not leaked.
         while True:
             try:
@@ -706,6 +819,13 @@ class CampaignCoordinator:
             self._selector.close()
         except (OSError, RuntimeError):  # pragma: no cover
             pass
+        self._wake_recv.close()
+        self._wake_send.close()
+        # Shards shipped at campaign end and the links are closed, so a local
+        # worker holds nothing worth waiting for (one still mid-handshake
+        # would never see the shutdown frame): kill and reap outright.
+        for process in list(self._local_processes.values()):
+            self._reap_local(process)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +840,7 @@ def _connect_with_retry(
     deadline = time.monotonic() + max(timeout, 0.0)
     while True:
         try:
-            return socket.create_connection(address, timeout=10.0)
+            return set_nodelay(socket.create_connection(address, timeout=10.0))
         except OSError as error:
             if time.monotonic() >= deadline:
                 raise HandshakeError(
@@ -748,7 +868,7 @@ def _accept_one(address: Tuple[str, int], timeout: Optional[float]) -> socket.so
             raise HandshakeError(
                 f"no coordinator dialed {format_address(address)} within {timeout:.0f}s"
             ) from None
-        return sock
+        return set_nodelay(sock)
     finally:
         listener.close()
 
@@ -885,12 +1005,16 @@ def run_worker(
             elif kind == MSG_CHUNK:
                 jobs = [ChipJob.from_dict(job) for job in message.get("jobs", [])]
                 fat_batch = int(campaign.get("fat_batch", 1)) if campaign else 1
+                attempt = int(message.get("attempt", 0))
                 try:
+                    inject_fault(
+                        message.get("chaos"),
+                        int(message.get("chunk_index", -1)),
+                        attempt,
+                        float(message.get("hang_s", 0.0)),
+                    )
                     results = execute_job_chunk(
-                        framework,
-                        jobs,
-                        fat_batch=fat_batch,
-                        attempt=int(message.get("attempt", 0)),
+                        framework, jobs, fat_batch=fat_batch, attempt=attempt
                     )
                 except Exception as error:  # noqa: BLE001 - ships to the ledger
                     reply = {
@@ -965,6 +1089,17 @@ def _release_inherited_sockets() -> None:
                 continue  # the listing's own directory descriptor, now closed
     finally:
         os.close(devnull)
+
+
+def _start_method() -> str:
+    # Fork is preferred where reliable (workers inherit the parent's context
+    # cache for free), but macOS system frameworks are not fork-safe — the
+    # reason CPython made spawn the macOS default — so fork is used on Linux
+    # only.  Spawned workers rebuild their context, hitting the on-disk
+    # pre-trained-state cache when one is configured.
+    if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "spawn"
 
 
 def _local_worker_main(

@@ -1,55 +1,39 @@
-"""Supervising executor: fault-tolerant dispatch of plan chunks to workers.
+"""Chunk-level fault tolerance shared by both campaign executors.
 
-The previous executor iterated ``Pool.imap_unordered`` over the plan — a
-SIGKILLed pool worker (OOM killer, preempted VM, a crashing BLAS) could hang
-the parent forever, and there was no retry or quarantine story at all.  This
-module replaces the pool with an explicitly supervised set of worker
-processes, following the centralized-scheduler discipline of large
-fault-tolerant training systems: the parent always knows *which chunk is in
-flight on which process* and owns every recovery decision.
+The campaign engine executes a plan either inline (``jobs == 1``) or through
+the socket :class:`~repro.campaign.scheduler.CampaignCoordinator` (local
+worker processes and/or remote hosts).  Both drive the same
+:class:`ChunkLedger`, so every execution path recovers the same way:
 
-Supervision loop
-----------------
-Each worker is a ``multiprocessing.Process`` with its own task queue and a
-shared result queue.  The parent dispatches one chunk per idle worker and
-then reacts to three kinds of events:
+* **Retry with backoff.**  A chunk that fails — an exception in the chunk,
+  or the loss of the worker holding it (death, dropped link, stale
+  heartbeats, a blown deadline) — is re-dispatched after
+  ``backoff_base * 2**(n-1)`` seconds, capped at ``backoff_max``.
+* **Deadline.**  With an explicit ``chunk_timeout`` the per-chunk deadline
+  is fixed; otherwise it adapts to the observed chunk durations
+  (``timeout_factor x`` the slowest completed chunk, floored at
+  ``timeout_floor``) so a campaign whose chunks take minutes is not killed
+  by a default tuned for seconds.
+* **Quarantine.**  Retries are capped at ``max_chunk_retries`` per chunk; a
+  chunk that fails beyond the cap — e.g. a poison chunk that kills every
+  worker it touches — is reported as a :class:`ChunkFailure`, persisted by
+  the engine to ``quarantine.jsonl``, and the campaign completes every other
+  chunk instead of crashing.
+* **Duplicate drop.**  A late result for a chunk that was already
+  reassigned and committed is dropped, so the store never records a chunk
+  twice.
 
-* **Completion** — the worker reports ``(chunk_index, results)``; the chunk
-  is committed through the engine's ``record_chunk`` (append + fsync) and
-  the worker returns to the idle set.  Late results for a chunk that was
-  already reassigned and committed are dropped, so the store never records
-  a chunk twice.
-* **Worker death** — the process's ``exitcode`` flips while a chunk is in
-  flight (detected every poll interval; no blocking join on a corpse).  The
-  chunk is retried on a healthy worker with exponential backoff and a
-  replacement worker is spawned.
-* **Hang** — a dispatched chunk outlives its deadline.  With an explicit
-  ``chunk_timeout`` the deadline is fixed; otherwise it adapts to the
-  observed chunk durations (``timeout_factor x`` the slowest completed
-  chunk, floored at ``timeout_floor``) so a campaign whose chunks take
-  minutes is not killed by a default tuned for seconds.  The wedged process
-  is SIGKILLed and handled exactly like a death.
-
-Transient exceptions inside a chunk (including chaos-injected ones) keep the
-worker alive: the chunk is retried, the worker goes back to the idle set.
-
-Retries are capped at ``max_chunk_retries`` per chunk; a chunk that fails
-beyond the cap — e.g. a poison chunk that kills every worker it touches —
-is **quarantined**: reported as a :class:`ChunkFailure`, persisted by the
-engine to ``quarantine.jsonl``, and the campaign completes every other chunk
-instead of crashing.  Because the retraining seed is population-shared,
-re-executing a chunk on any worker commits bit-identical rows, so recovery
-is invisible in ``results.jsonl``.
+:class:`ChunkCommitSequencer` then commits completed chunks in plan order.
+Because the retraining seed is population-shared, re-executing a chunk on
+any worker commits bit-identical rows, so recovery is invisible in
+``results.jsonl``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue as queue_module
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.campaign.chaos import ChaosSchedule
 from repro.campaign.jobs import ChipJob
 from repro.observability import metrics, trace
 from repro.utils.logging import get_logger
@@ -59,7 +43,7 @@ logger = get_logger("campaign.supervisor")
 
 @dataclasses.dataclass
 class SupervisorConfig:
-    """Fault-tolerance knobs of the supervising executor.
+    """Fault-tolerance knobs of the campaign executors.
 
     ``max_chunk_retries`` is the number of *re-executions* allowed per chunk
     (so a chunk runs at most ``max_chunk_retries + 1`` times before it is
@@ -77,8 +61,6 @@ class SupervisorConfig:
     timeout_floor: float = 30.0
     backoff_base: float = 0.5
     backoff_max: float = 30.0
-    poll_interval: float = 0.05
-    join_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_chunk_retries < 0:
@@ -93,8 +75,6 @@ class SupervisorConfig:
             raise ValueError("timeout_factor must be > 0 and timeout_floor >= 0")
         if self.backoff_base < 0 or self.backoff_max < 0:
             raise ValueError("backoff values must be non-negative")
-        if self.poll_interval <= 0:
-            raise ValueError(f"poll_interval must be positive, got {self.poll_interval}")
 
     def backoff_seconds(self, attempt: int) -> float:
         """Delay before dispatching attempt ``attempt`` (attempt 0 = none)."""
@@ -138,61 +118,6 @@ class ChunkFailure:
         ]
 
 
-def _supervised_worker_main(
-    worker_id: int,
-    task_queue,
-    result_queue,
-    initializer: Callable[..., Callable[[List[ChipJob], int, int], Any]],
-    initargs: Tuple[Any, ...],
-) -> None:
-    """Worker loop: initialize once, then execute dispatched chunks forever.
-
-    ``initializer(*initargs)`` builds the per-process execute callable (the
-    engine's framework + chaos installation); each task is
-    ``(chunk_index, attempt, chunk)`` and each report is
-    ``("done"|"error", worker_id, chunk_index, attempt, payload)``.  A
-    ``None`` task is the shutdown sentinel.
-    """
-    try:
-        execute = initializer(*initargs)
-    except Exception as error:  # pragma: no cover - init failures are fatal
-        result_queue.put(("init_error", worker_id, -1, 0, repr(error)))
-        return
-    result_queue.put(("ready", worker_id, -1, 0, None))
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        chunk_index, attempt, chunk = task
-        try:
-            results = execute(chunk, chunk_index, attempt)
-        except Exception as error:
-            result_queue.put(
-                ("error", worker_id, chunk_index, attempt, repr(error))
-            )
-        else:
-            result_queue.put(("done", worker_id, chunk_index, attempt, results))
-
-
-@dataclasses.dataclass
-class _WorkerHandle:
-    """Parent-side view of one worker process."""
-
-    worker_id: int
-    process: Any
-    task_queue: Any
-    chunk_index: Optional[int] = None
-    attempt: int = 0
-    dispatched_at: float = 0.0
-
-    @property
-    def busy(self) -> bool:
-        return self.chunk_index is not None
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-
 class _ChunkState:
     """Scheduling state of one plan chunk."""
 
@@ -213,11 +138,11 @@ class ChunkLedger:
     The ledger owns everything about *what work is in which state* — ready
     selection with backoff, attempt counting, duplicate-completion dropping,
     retry-or-quarantine on failure, and the adaptive per-chunk deadline —
-    while staying ignorant of *who* executes chunks.  The local
-    :class:`SupervisingExecutor` (process pool) and the socket-transport
-    :class:`~repro.campaign.scheduler.CampaignCoordinator` both drive their
-    workers against one ledger, so a remote worker death is retried and
-    quarantined by exactly the machinery PR 7 proved out locally.
+    while staying ignorant of *who* executes chunks.  The engine's inline
+    executor and the socket-transport
+    :class:`~repro.campaign.scheduler.CampaignCoordinator` both run their
+    chunks against one ledger, so an in-process exception and a remote
+    worker death are retried and quarantined by the same machinery.
     """
 
     def __init__(
@@ -379,231 +304,3 @@ class ChunkCommitSequencer:
             else:
                 return
             self._next += 1
-
-
-class SupervisingExecutor:
-    """Dispatch a campaign plan across supervised worker processes.
-
-    Parameters
-    ----------
-    plan:
-        The ordered chunk list from :func:`~repro.campaign.jobs.plan_job_chunks`.
-    record_chunk:
-        Parent-side commit callback (store append + bookkeeping); called
-        exactly once per completed chunk, in *plan order* (out-of-order
-        completions are held by a :class:`ChunkCommitSequencer` so the
-        store reads byte-identically to a serial run).
-    workers:
-        Number of worker processes to keep alive.
-    mp_context:
-        The ``multiprocessing`` context (fork on Linux, spawn elsewhere).
-    initializer / initargs:
-        Build the per-process execute callable; see
-        :func:`_supervised_worker_main`.
-    config:
-        Retry/deadline/backoff knobs (:class:`SupervisorConfig`).
-    """
-
-    def __init__(
-        self,
-        plan: Sequence[List[ChipJob]],
-        record_chunk: Callable[[Sequence[Any]], None],
-        workers: int,
-        mp_context,
-        initializer: Callable[..., Callable[[List[ChipJob], int, int], Any]],
-        initargs: Tuple[Any, ...],
-        config: Optional[SupervisorConfig] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.plan = [list(chunk) for chunk in plan]
-        self.record_chunk = record_chunk
-        self.worker_count = min(workers, len(self.plan)) or 1
-        self.mp_context = mp_context
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
-        self.config = config if config is not None else SupervisorConfig()
-        self._ledger = ChunkLedger(self.plan, self.config)
-        self._sequencer = ChunkCommitSequencer(len(self.plan), self.record_chunk)
-        self._workers: Dict[int, _WorkerHandle] = {}
-        self._next_worker_id = 0
-        self._result_queue = None
-
-    @property
-    def failures(self) -> List[ChunkFailure]:
-        return self._ledger.failures
-
-    # -- worker lifecycle -----------------------------------------------------
-
-    def _spawn_worker(self) -> _WorkerHandle:
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        task_queue = self.mp_context.Queue()
-        process = self.mp_context.Process(
-            target=_supervised_worker_main,
-            args=(
-                worker_id,
-                task_queue,
-                self._result_queue,
-                self.initializer,
-                self.initargs,
-            ),
-            daemon=True,
-            name=f"campaign-worker-{worker_id}",
-        )
-        process.start()
-        handle = _WorkerHandle(worker_id=worker_id, process=process, task_queue=task_queue)
-        self._workers[worker_id] = handle
-        return handle
-
-    def _discard_worker(self, handle: _WorkerHandle, kill: bool = False) -> None:
-        self._workers.pop(handle.worker_id, None)
-        if kill and handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(self.config.join_timeout)
-        if handle.process.is_alive():  # pragma: no cover - last resort
-            handle.process.kill()
-            handle.process.join(self.config.join_timeout)
-        # Drain + close the private task queue so its feeder thread exits.
-        try:
-            handle.task_queue.close()
-            handle.task_queue.join_thread()
-        except (OSError, ValueError):  # pragma: no cover - queue already gone
-            pass
-
-    # -- scheduling -----------------------------------------------------------
-
-    def _dispatch_ready(self, now: float) -> None:
-        for handle in list(self._workers.values()):
-            if handle.busy or not handle.alive():
-                continue
-            state = self._ledger.ready_chunk(now)
-            if state is None:
-                return
-            handle.attempt = self._ledger.start(state)
-            handle.chunk_index = state.index
-            handle.dispatched_at = now
-            handle.task_queue.put((state.index, handle.attempt, state.chunk))
-
-    def _handle_worker_loss(
-        self, handle: _WorkerHandle, cause: str, now: float
-    ) -> None:
-        """A worker died (or was killed for hanging): reassign + respawn."""
-        metrics.counter("campaign.worker_deaths").inc()
-        trace.instant(
-            "campaign.worker_death",
-            worker=handle.worker_id,
-            pid=handle.process.pid,
-            cause=cause,
-            chunk=handle.chunk_index,
-        )
-        logger.warning(
-            "worker %d (pid %s) lost (%s) while chunk %s was in flight",
-            handle.worker_id,
-            handle.process.pid,
-            cause,
-            handle.chunk_index,
-        )
-        chunk_index = handle.chunk_index
-        self._discard_worker(handle, kill=cause == "hang")
-        if chunk_index is not None:
-            state = self._ledger.chunks[chunk_index]
-            if state.status == "running":
-                self._ledger.fail(state, f"worker lost ({cause})", now)
-                if state.status == "quarantined":
-                    self._sequencer.skip(state.index)
-        if self._outstanding():
-            metrics.counter("campaign.workers_respawned").inc()
-            self._spawn_worker()
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def _outstanding(self) -> int:
-        return self._ledger.outstanding()
-
-    def _handle_message(self, message, now: float) -> None:
-        kind, worker_id, chunk_index, attempt, payload = message
-        handle = self._workers.get(worker_id)
-        if kind == "ready":
-            return
-        if kind == "init_error":  # pragma: no cover - fatal misconfiguration
-            raise RuntimeError(f"campaign worker failed to initialize: {payload}")
-        state = self._ledger.chunks[chunk_index]
-        if handle is not None and handle.chunk_index == chunk_index:
-            handle.chunk_index = None
-        if kind == "done":
-            duration = now - (handle.dispatched_at if handle else now)
-            if not self._ledger.complete(state, duration):
-                # A hang-killed worker that actually finished after its
-                # reassigned twin: the chunk is already committed, drop it.
-                logger.info("dropping duplicate result for chunk %d", chunk_index)
-                return
-            self._sequencer.commit(chunk_index, payload)
-        elif kind == "error":
-            if state.status == "running":
-                self._ledger.fail(state, str(payload), now)
-                if state.status == "quarantined":
-                    self._sequencer.skip(state.index)
-
-    def _check_workers(self, now: float) -> None:
-        deadline = self._ledger.deadline_seconds()
-        for handle in list(self._workers.values()):
-            if not handle.alive():
-                self._handle_worker_loss(handle, "exit", now)
-                continue
-            if (
-                handle.busy
-                and deadline is not None
-                and now - handle.dispatched_at > deadline
-            ):
-                metrics.counter("campaign.worker_hangs").inc()
-                logger.warning(
-                    "worker %d exceeded the %.1fs chunk deadline on chunk %s; killing",
-                    handle.worker_id,
-                    deadline,
-                    handle.chunk_index,
-                )
-                self._handle_worker_loss(handle, "hang", now)
-
-    # -- run ------------------------------------------------------------------
-
-    def run(self) -> List[ChunkFailure]:
-        """Execute the whole plan; returns the quarantined-chunk failures."""
-        self._result_queue = self.mp_context.Queue()
-        for _ in range(self.worker_count):
-            self._spawn_worker()
-        try:
-            while self._outstanding():
-                now = time.monotonic()
-                self._dispatch_ready(now)
-                try:
-                    message = self._result_queue.get(
-                        timeout=self.config.poll_interval
-                    )
-                except queue_module.Empty:
-                    message = None
-                now = time.monotonic()
-                if message is not None:
-                    self._handle_message(message, now)
-                self._check_workers(now)
-        finally:
-            self._shutdown()
-        return self.failures
-
-    def _shutdown(self) -> None:
-        for handle in list(self._workers.values()):
-            if handle.alive():
-                try:
-                    handle.task_queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
-        for handle in list(self._workers.values()):
-            handle.process.join(self.config.join_timeout)
-            self._discard_worker(handle, kill=True)
-        if self._result_queue is not None:
-            try:
-                self._result_queue.close()
-                self._result_queue.join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-            self._result_queue = None

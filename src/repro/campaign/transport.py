@@ -25,7 +25,14 @@ The coordinator answers with a ``welcome`` carrying the full serialized
 preset and execution knobs (or a ``reject`` with a reason), the worker builds
 its context and reports ``ready``, and from then on both sides exchange the
 scheduler's campaign/claim/chunk/result messages plus periodic heartbeats
-(see :mod:`repro.campaign.scheduler`).
+(see :mod:`repro.campaign.scheduler`).  Protocol version 3 adds a
+``chaos`` field to every ``chunk`` frame: the planned fault (if any) of that
+chunk attempt, which the worker injects before executing it.
+
+Every coordinator<->worker socket runs with ``TCP_NODELAY``
+(:func:`set_nodelay`).  A worker writes a ``result`` frame and then a small
+``claim`` frame back to back; with Nagle's algorithm on, the claim waits for
+the peer's delayed ACK and every chunk hand-off stalls.
 
 Blocking helpers (:func:`send_frame`/:func:`recv_frame`) serve the worker
 side; the coordinator multiplexes many workers without threads-per-connection
@@ -40,7 +47,7 @@ import struct
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Frames larger than this are refused on both ends.  Sized far above any
 #: legitimate chunk/result/shard payload; its job is to turn a corrupt or
@@ -187,6 +194,12 @@ class FrameDecoder:
                     f"frame payload is not an object: {type(message).__name__}"
                 )
             messages.append(message)
+
+
+def set_nodelay(sock: socket.socket) -> socket.socket:
+    """Disable Nagle's algorithm on a connected TCP socket; returns it."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
 
 
 def parse_address(spec: str, default_host: str = "127.0.0.1") -> Tuple[str, int]:

@@ -23,8 +23,10 @@ and prints the per-strategy comparison table — accuracy recovered, epochs
 spent, energy/timing overhead — plus the Pareto-optimal strategies.  Each
 strategy's campaign is its own resumable store under ``--campaign-dir``.
 
-Campaign execution is supervised (worker death/hang recovery, capped chunk
-retries, poison-chunk quarantine): ``--max-chunk-retries`` and
+``--jobs N`` (N > 1) runs the campaign on N local worker processes that
+join a loopback socket coordinator; ``--jobs 1`` runs it inline.  Execution
+is fault-tolerant (worker death/hang recovery, capped chunk retries,
+poison-chunk quarantine): ``--max-chunk-retries`` and
 ``--chunk-timeout`` tune the fault-tolerance policy, ``--chaos SPEC`` (or the
 ``REPRO_CHAOS`` environment variable) enables the deterministic fault
 injector, and ``repro-reduce verify-store [PATH]`` audits the integrity of
@@ -126,9 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for per-chip retraining (default: 1 = serial). "
-        "With --listen/--workers this counts *local* socket workers forked "
-        "next to the coordinator; 0 runs the campaign on remote workers only",
+        help="worker processes for per-chip retraining (default: 1 = inline, "
+        "in this process). N > 1 forks N local socket workers that join a "
+        "loopback coordinator. With --listen/--workers the local workers "
+        "join the same coordinator as the remote ones; 0 runs the campaign "
+        "on remote workers only",
     )
     parser.add_argument(
         "--listen",

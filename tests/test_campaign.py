@@ -52,6 +52,10 @@ class TestChipJob:
         for job in jobs:
             assert pickle.loads(pickle.dumps(job)) == job
             assert ChipJob.from_dict(json.loads(json.dumps(job.to_dict()))) == job
+            # The shallow to_dict serializes exactly like a deep asdict copy.
+            assert json.dumps(job.to_dict(), sort_keys=True) == json.dumps(
+                dataclasses.asdict(job), sort_keys=True
+            )
 
     def test_execution_is_deterministic(self, framework, population):
         job = build_jobs(framework, population, FixedEpochPolicy(0.25))[0]
@@ -149,6 +153,25 @@ class TestEngineEquivalence:
     def test_invalid_worker_counts_rejected(self, smoke_context):
         with pytest.raises(ValueError):
             CampaignEngine(smoke_context, jobs=0)
+
+    @pytest.mark.parametrize("listen", [None, ("127.0.0.1", 0)], ids=["jobs", "listen"])
+    def test_consecutive_runs_plan_for_the_same_worker_count(
+        self, smoke_context, population, monkeypatch, listen
+    ):
+        """A reused engine counts each of its workers once when planning."""
+        import repro.campaign.engine as engine_module
+
+        planned_for = []
+
+        def spy(jobs, fat_batch, workers=1):
+            planned_for.append(workers)
+            return plan_job_chunks(jobs, fat_batch, workers=workers)
+
+        monkeypatch.setattr(engine_module, "plan_job_chunks", spy)
+        with CampaignEngine(smoke_context, jobs=2, fat_batch=2, listen=listen) as engine:
+            for _ in range(2):
+                engine.run(population, FixedEpochPolicy(0.25))
+        assert planned_for == [2, 2]
 
 
 class TestStoreAndResume:

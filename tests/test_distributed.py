@@ -25,6 +25,8 @@ from repro.campaign.scheduler import (
     CampaignCoordinator,
     SchedulerConfig,
     WorkerRejected,
+    _accept_one,
+    _connect_with_retry,
     run_worker,
 )
 from repro.campaign.store import STORE_FORMAT_VERSION
@@ -49,6 +51,7 @@ from repro.campaign.transport import (
 )
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
+from repro.observability import metrics
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +274,44 @@ class TestCoordinatorHandshake:
             )
 
 
+class TestNoDelay:
+    """Nagle's algorithm is off on both ends of every worker link."""
+
+    @pytest.mark.parametrize("direction", ["worker-dials", "coordinator-dials"])
+    def test_both_ends_of_a_handshaken_link_set_tcp_nodelay(
+        self, smoke_context, direction
+    ):
+        connect = []
+        if direction == "coordinator-dials":
+            port = find_free_port()
+            connect = [("127.0.0.1", port)]
+        coordinator = CampaignCoordinator(
+            smoke_context.preset,
+            connect=connect,
+            config=_fast_scheduler_config(dial_retry_interval=0.01),
+        )
+        try:
+            if direction == "worker-dials":
+                sock = _connect_with_retry(coordinator.address, timeout=10.0)
+            else:
+                sock = _accept_one(("127.0.0.1", port), timeout=10.0)
+            try:
+                sock.settimeout(10.0)
+                send_frame(sock, worker_hello(host="w", pid=1))
+                assert recv_frame(sock)["type"] == MSG_WELCOME
+                send_frame(sock, {"type": MSG_READY})
+                link = coordinator._ready_queue.get(timeout=10.0)
+                try:
+                    for end in (sock, link.sock):
+                        assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                finally:
+                    link.sock.close()  # taken off the queue close() drains
+            finally:
+                sock.close()
+        finally:
+            coordinator.close()
+
+
 # ---------------------------------------------------------------------------
 # End-to-end distributed campaigns
 # ---------------------------------------------------------------------------
@@ -459,12 +500,16 @@ class TestDistributedCampaigns:
                 sock.close()
 
         thief = threading.Thread(target=treacherous_worker, daemon=True)
+        joined = metrics.counter("campaign.workers_joined").value
         thief.start()
         try:
             # Let the thief finish its handshake before chunks start flowing,
             # so it reliably claims (and then drops) one chunk.
             deadline = time.time() + 30
-            while engine._coordinator.worker_hint() < 1 and time.time() < deadline:
+            while (
+                metrics.counter("campaign.workers_joined").value <= joined
+                and time.time() < deadline
+            ):
                 time.sleep(0.01)
             result = engine.run(population, FixedEpochPolicy(0.25))
             report = engine.last_report

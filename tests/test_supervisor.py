@@ -1,29 +1,33 @@
-"""Tests for the supervising executor, the chaos harness, and recovery paths.
+"""Tests for the chunk ledger's recovery paths and the chaos harness.
 
-The unit tests drive :class:`SupervisingExecutor` directly with stub workers
-(no ML stack) to exercise death/hang/retry/quarantine mechanics quickly; the
-integration tests run real smoke-scale campaigns under seeded chaos and
-assert the headline guarantee: recovery is invisible in the results.
+The recovery unit tests drive a :class:`CampaignCoordinator` with real
+local socket worker processes and place chaos faults on chosen chunks to
+exercise death/hang/retry/quarantine one at a time; the integration tests
+run real smoke-scale campaigns under seeded chaos and assert the headline
+guarantee: recovery is invisible in the results.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import logging
 import os
-import signal
-import time
+import re
 
 import pytest
 
 from repro.campaign import (
+    CampaignCoordinator,
     CampaignEngine,
     CampaignStore,
     ChaosError,
     ChaosSpec,
-    SupervisingExecutor,
+    SchedulerConfig,
     SupervisorConfig,
+    build_jobs,
+    plan_job_chunks,
     resolve_chaos,
 )
+from repro.campaign.chaos import ChaosSchedule
 from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.observability import metrics
@@ -42,9 +46,37 @@ def population(smoke_context):
 
 
 def _fast_config(**overrides):
-    base = dict(backoff_base=0.05, backoff_max=0.2, poll_interval=0.02)
+    base = dict(backoff_base=0.05, backoff_max=0.2)
     base.update(overrides)
     return SupervisorConfig(**base)
+
+
+@pytest.fixture()
+def worker_losses(caplog, monkeypatch):
+    """Records of ``worker HOST:PID lost (CAUSE)`` as ``(pid, cause)`` pairs."""
+    # The library's logger hierarchy does not propagate to the root logger;
+    # let it through so caplog can observe the losses.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    caplog.set_level(logging.WARNING, logger="repro.campaign.scheduler")
+
+    def losses():
+        found = []
+        for record in caplog.records:
+            match = re.search(r"worker \S+:(\d+) lost \((\w+)", record.getMessage())
+            if match:
+                found.append((int(match.group(1)), match.group(2)))
+        return found
+
+    return losses
+
+
+def _reaped(pid):
+    """``True`` once ``pid`` is neither running nor an unreaped zombie."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 class TestChaosSpec:
@@ -117,7 +149,6 @@ class TestSupervisorConfig:
             {"chunk_timeout": 0.0},
             {"timeout_factor": 0.0},
             {"backoff_base": -1.0},
-            {"poll_interval": 0.0},
         ],
     )
     def test_rejects_invalid_values(self, kwargs):
@@ -125,106 +156,109 @@ class TestSupervisorConfig:
             SupervisorConfig(**kwargs)
 
 
-# -- stub workers (module-level so spawn contexts could pickle them too) --------
+class TestCoordinatorRecovery:
+    """Each recovery path of the socket executor, with real local workers.
 
+    Faults are placed on chosen chunks through a hand-built chaos schedule;
+    the coordinator ships each attempt's fault in its chunk frame.
+    """
 
-def _stub_initializer():
-    def execute(chunk, chunk_index, attempt):
-        return [f"{chunk_index}:{item}" for item in chunk]
+    @pytest.fixture(scope="class")
+    def plan(self, smoke_context):
+        preset = smoke_context.preset
+        chips = ChipPopulation.generate(
+            count=6,
+            rows=preset.array_rows,
+            cols=preset.array_cols,
+            fault_rates=(0.05, 0.25),
+            seed=99,
+        )
+        jobs = build_jobs(smoke_context.framework(), chips, FixedEpochPolicy(0.25))
+        plan = plan_job_chunks(jobs, fat_batch=2)
+        assert len(plan) == 3
+        return plan
 
-    return execute
-
-
-def _kill_second_chunk_initializer():
-    def execute(chunk, chunk_index, attempt):
-        if chunk_index == 1 and attempt == 0:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-def _hang_first_chunk_initializer():
-    def execute(chunk, chunk_index, attempt):
-        if chunk_index == 0 and attempt == 0:
-            time.sleep(30.0)
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-def _always_fail_chunk_zero_initializer():
-    def execute(chunk, chunk_index, attempt):
-        if chunk_index == 0:
-            raise RuntimeError("poisoned")
-        return [f"{chunk_index}:{item}" for item in chunk]
-
-    return execute
-
-
-class _FakeJob:
-    """Minimal stand-in for ChipJob in ChunkFailure records."""
-
-    def __init__(self, chip_id):
-        self.chip_id = chip_id
-        self.epochs = 0.25
-        self.strategy = "fat"
-
-
-class TestSupervisingExecutorUnit:
-    PLAN = [["a", "b"], ["c"], ["d", "e"]]
-
-    def _run(self, initializer, config, plan=None):
+    def _run(self, smoke_context, plan, actions, config):
+        coordinator = CampaignCoordinator(
+            smoke_context.preset,
+            fat_batch=2,
+            supervisor_config=config,
+            config=SchedulerConfig(poll_interval=0.01, shard_grace=10.0),
+            local_workers=2,
+        )
+        schedule = ChaosSchedule(
+            spec=ChaosSpec(hang_s=30.0), actions=actions, torn_points=set()
+        )
         recorded = []
-        executor = SupervisingExecutor(
-            plan if plan is not None else self.PLAN,
-            recorded.append,
-            workers=2,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=initializer,
-            initargs=(),
-            config=config,
-        )
-        failures = executor.run()
-        return recorded, failures
+        try:
+            failures = coordinator.run_plan(plan, recorded.append, chaos=schedule)
+            alive = {
+                pid for pid, process in coordinator._local_processes.items()
+                if process.is_alive()
+            }
+        finally:
+            coordinator.close()
+        return [[row.chip_id for row in rows] for rows in recorded], failures, alive
 
-    def test_healthy_plan_completes(self):
-        recorded, failures = self._run(_stub_initializer, _fast_config())
+    def _chip_ids(self, chunks):
+        return [[job.chip_id for job in chunk] for chunk in chunks]
+
+    def test_healthy_plan_completes(self, smoke_context, plan, worker_losses):
+        recorded, failures, alive = self._run(smoke_context, plan, {}, _fast_config())
         assert not failures
-        assert sorted(r[0] for r in recorded) == ["0:a", "1:c", "2:d"]
+        assert recorded == self._chip_ids(plan)  # committed in plan order
+        assert len(alive) == 2
+        assert not worker_losses()
 
-    def test_worker_death_reassigns_chunk(self):
-        before = metrics.counter("campaign.worker_deaths").value
-        recorded, failures = self._run(_kill_second_chunk_initializer, _fast_config())
-        assert not failures
-        assert sorted(r[0] for r in recorded) == ["0:a", "1:c", "2:d"]
-        assert metrics.counter("campaign.worker_deaths").value > before
-
-    def test_hung_worker_is_killed_and_chunk_retried(self):
-        before = metrics.counter("campaign.worker_hangs").value
-        recorded, failures = self._run(
-            _hang_first_chunk_initializer, _fast_config(chunk_timeout=0.5)
+    def test_worker_death_reassigns_chunk(self, smoke_context, plan, worker_losses):
+        deaths = metrics.counter("campaign.worker_deaths").value
+        respawns = metrics.counter("campaign.workers_respawned").value
+        recorded, failures, alive = self._run(
+            smoke_context, plan, {1: "kill"}, _fast_config()
         )
         assert not failures
-        assert sorted(r[0] for r in recorded) == ["0:a", "1:c", "2:d"]
-        assert metrics.counter("campaign.worker_hangs").value > before
+        assert recorded == self._chip_ids(plan)
+        assert metrics.counter("campaign.worker_deaths").value > deaths
+        assert metrics.counter("campaign.workers_respawned").value > respawns
+        ((pid, cause),) = worker_losses()
+        assert cause == "disconnected"
+        assert pid not in alive and _reaped(pid)
 
-    def test_poison_chunk_is_quarantined_others_complete(self):
-        plan = [[_FakeJob("a"), _FakeJob("b")], [_FakeJob("c")]]
-        recorded, failures = self._run(
-            _always_fail_chunk_zero_initializer,
-            _fast_config(max_chunk_retries=1),
-            plan=plan,
+    def test_hung_worker_is_killed_and_chunk_retried(
+        self, smoke_context, plan, worker_losses
+    ):
+        hangs = metrics.counter("campaign.worker_hangs").value
+        respawns = metrics.counter("campaign.workers_respawned").value
+        recorded, failures, alive = self._run(
+            smoke_context, plan, {0: "hang"}, _fast_config(chunk_timeout=1.0)
         )
-        assert sorted(r[0] for r in recorded) == ["1:" + str(plan[1][0])] or len(recorded) == 1
+        assert not failures
+        assert recorded == self._chip_ids(plan)
+        assert metrics.counter("campaign.worker_hangs").value > hangs
+        assert metrics.counter("campaign.workers_respawned").value > respawns
+        ((pid, cause),) = worker_losses()
+        assert cause == "hang"
+        # SIGKILLed and reaped by the coordinator, not left sleeping.
+        assert pid not in alive and _reaped(pid)
+
+    def test_poison_chunk_is_quarantined_others_complete(
+        self, smoke_context, plan, worker_losses
+    ):
+        recorded, failures, alive = self._run(
+            smoke_context, plan, {0: "poison"}, _fast_config(max_chunk_retries=1)
+        )
+        assert recorded == self._chip_ids(plan)[1:]
         assert len(failures) == 1
         failure = failures[0]
-        assert failure.chip_ids == ["a", "b"]
+        assert failure.chip_ids == self._chip_ids(plan)[0]
         assert failure.attempts == 2
-        assert "poisoned" in failure.error
+        assert "ChaosError" in failure.error
         records = failure.to_chip_records()
-        assert [r["chip_id"] for r in records] == ["a", "b"]
+        assert [r["chip_id"] for r in records] == failure.chip_ids
         assert all(r["attempts"] == 2 and r["strategy"] == "fat" for r in records)
+        # An exception in a chunk costs no worker.
+        assert not worker_losses()
+        assert len(alive) == 2
 
 
 class TestChaosCampaigns:
@@ -246,10 +280,11 @@ class TestChaosCampaigns:
         )
 
     def test_worker_sigkill_mid_chunk_is_invisible(
-        self, smoke_context, population, tmp_path
+        self, smoke_context, population, tmp_path, worker_losses
     ):
         deaths_before = metrics.counter("campaign.worker_deaths").value
         retries_before = metrics.counter("campaign.chunk_retries").value
+        respawns_before = metrics.counter("campaign.workers_respawned").value
         _, baseline = self._run(
             smoke_context, population, tmp_path, "plain", jobs=2, fat_batch=2
         )
@@ -267,6 +302,10 @@ class TestChaosCampaigns:
         assert chaos_engine.last_report.failed == 0
         assert metrics.counter("campaign.worker_deaths").value > deaths_before
         assert metrics.counter("campaign.chunk_retries").value > retries_before
+        # The killed local worker was reaped and replaced during the run.
+        assert metrics.counter("campaign.workers_respawned").value > respawns_before
+        ((pid, cause),) = worker_losses()
+        assert cause == "disconnected" and _reaped(pid)
         # Recovery is invisible on disk too: same rows, verified clean.
         baseline_engine_dir = tmp_path / "plain"
         plain_lines = sorted(
@@ -278,9 +317,10 @@ class TestChaosCampaigns:
         assert CampaignStore(chaos_engine.last_report.store_dir).verify().is_clean
 
     def test_hang_is_detected_and_chunk_reassigned(
-        self, smoke_context, population, tmp_path
+        self, smoke_context, population, tmp_path, worker_losses
     ):
         hangs_before = metrics.counter("campaign.worker_hangs").value
+        respawns_before = metrics.counter("campaign.workers_respawned").value
         _, baseline = self._run(
             smoke_context, population, tmp_path, "plain", jobs=2, fat_batch=2
         )
@@ -297,6 +337,10 @@ class TestChaosCampaigns:
         assert chaotic.results == baseline.results
         assert not chaotic.failed_chips
         assert metrics.counter("campaign.worker_hangs").value > hangs_before
+        # The hung worker was SIGKILLed and reaped, not left sleeping.
+        assert metrics.counter("campaign.workers_respawned").value > respawns_before
+        ((pid, cause),) = worker_losses()
+        assert cause == "hang" and _reaped(pid)
 
     def test_transient_exception_retried_inline(
         self, smoke_context, population, tmp_path
