@@ -42,12 +42,31 @@ class FaultMap:
 
     @classmethod
     def from_indices(cls, rows: int, cols: int, indices: Iterable[Tuple[int, int]]) -> "FaultMap":
-        """Build a map from explicit ``(row, col)`` faulty-PE coordinates."""
+        """Build a map from explicit ``(row, col)`` faulty-PE coordinates.
+
+        ``indices`` may be any iterable of pairs (or a ``(K, 2)`` integer
+        array).  A coordinate outside the array raises :class:`IndexError`
+        naming the first such pair in input order; non-integer coordinates
+        (``1.5``, ``"0"``, ``True``) are rejected rather than truncated.
+        """
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        coords = np.asarray(indices)
+        if len(coords) == 0:
+            return cls.none(rows, cols)
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"PE coordinates must be (row, col) pairs, got shape {coords.shape}")
+        if coords.dtype.kind not in "iu":
+            raise IndexError(f"PE coordinates must be integers, got dtype {coords.dtype}")
+        r, c = coords[:, 0], coords[:, 1]
+        outside = (r < 0) | (r >= rows) | (c < 0) | (c >= cols)
+        if outside.any():
+            first = int(np.argmax(outside))
+            raise IndexError(
+                f"PE coordinate ({r[first]}, {c[first]}) outside a {rows}x{cols} array"
+            )
         faulty = np.zeros((rows, cols), dtype=bool)
-        for r, c in indices:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"PE coordinate ({r}, {c}) outside a {rows}x{cols} array")
-            faulty[r, c] = True
+        faulty[r, c] = True
         return cls(faulty)
 
     @classmethod
@@ -211,14 +230,12 @@ class FaultMap:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "faulty_indices": [[int(r), int(c)] for r, c in self.faulty_indices()],
+            "faulty_indices": self.faulty_indices().tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultMap":
-        return cls.from_indices(
-            int(data["rows"]), int(data["cols"]), [tuple(pair) for pair in data["faulty_indices"]]
-        )
+        return cls.from_indices(int(data["rows"]), int(data["cols"]), data["faulty_indices"])
 
     # -- dunder ------------------------------------------------------------------
 

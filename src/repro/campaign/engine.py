@@ -365,11 +365,11 @@ class CampaignEngine:
             if self.resume:
                 metrics.gauge("campaign.phase").set("resume_scan")
                 with trace.span("campaign.resume_scan"):
-                    store.compact()
+                    recorded = store.compact()
                     wanted = {job.chip_id for job in job_list}
                     known = {
                         chip_id: result
-                        for chip_id, result in store.completed().items()
+                        for chip_id, result in recorded.items()
                         if chip_id in wanted
                     }
             else:

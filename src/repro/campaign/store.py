@@ -347,14 +347,20 @@ class CampaignStore:
         payload = "".join(encode_result_line(result) + "\n" for result in results)
         try:
             offset = self.results_path.stat().st_size
+            created = False
         except OSError:
             offset = 0
+            created = True
         try:
             with self.results_path.open("a", encoding="utf-8") as handle:
                 handle.write(payload)
                 handle.flush()
                 with metrics.timer("store.fsync_seconds"):
                     os.fsync(handle.fileno())
+            if created:
+                # The new directory entry is durable only once the
+                # directory itself reaches disk.
+                fsync_directory(self.results_path.parent)
         except OSError as error:
             # Roll the file back to its pre-append size so the half-flushed
             # group never masquerades as durable rows.
@@ -380,26 +386,32 @@ class CampaignStore:
         skipped with a warning, so a resumed campaign simply re-runs those
         chips.
         """
+        return self._scan()[1]
+
+    def _scan(self) -> Tuple[Optional[bytes], "OrderedDict[str, ChipRetrainingResult]"]:
+        """The raw results file (``None`` when absent) and the results it
+        holds, decoding each line once."""
         results: "OrderedDict[str, ChipRetrainingResult]" = OrderedDict()
-        if not self.results_path.exists():
-            return results
-        with self.results_path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                result, status = decode_result_line(line)
-                if result is None:
-                    metrics.counter("store.corrupt_lines").inc()
-                    logger.warning(
-                        "skipping %s line %d of %s",
-                        "checksum-mismatched" if status == "checksum-mismatch" else "unreadable",
-                        lineno,
-                        self.results_path,
-                    )
-                    continue
-                results[result.chip_id] = result
-        return results
+        try:
+            raw = self.results_path.read_bytes()
+        except FileNotFoundError:
+            return None, results
+        for lineno, line in enumerate(raw.decode("utf-8", "replace").splitlines(), 1):
+            line = line.strip()
+            if not line:
+                continue
+            result, status = decode_result_line(line)
+            if result is None:
+                metrics.counter("store.corrupt_lines").inc()
+                logger.warning(
+                    "skipping %s line %d of %s",
+                    "checksum-mismatched" if status == "checksum-mismatch" else "unreadable",
+                    lineno,
+                    self.results_path,
+                )
+                continue
+            results[result.chip_id] = result
+        return raw, results
 
     def verify(self) -> StoreVerification:
         """Integrity report of the store: torn/corrupt/duplicate rows.
@@ -439,29 +451,38 @@ class CampaignStore:
         )
         return report
 
-    def compact(self) -> int:
-        """Rewrite the results file with only valid, deduplicated lines.
+    def compact(self) -> "OrderedDict[str, ChipRetrainingResult]":
+        """Leave only valid, deduplicated, checksummed lines; return them.
 
         Run before resuming: a torn trailing line left by a killed process
         has no newline, so appending straight after it would corrupt the next
-        result.  Returns the number of results kept.  The rewrite is made
-        durable (file fsync + ``os.replace`` + directory fsync), so a
-        compacted store survives a power cut immediately after resume.
+        result.  Returns the kept results (what :meth:`completed` would), so
+        a resume parses the file once.  A file that already holds exactly
+        the bytes a rewrite would produce is left in place and fsynced with
+        its directory; anything else (torn tail, duplicates, checksum
+        mismatches, legacy unchecksummed lines) is rewritten durably (file
+        fsync + ``os.replace`` + directory fsync).  Either way a compacted
+        store survives a power cut immediately after resume.
+        ``store.compactions`` counts the rewrites.
         """
-        if not self.results_path.exists():
-            return 0
-        results = self.completed()
-        tmp = self.results_path.with_name(self.results_path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            for result in results.values():
-                handle.write(encode_result_line(result) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.results_path)
+        raw, results = self._scan()
+        if raw is None:
+            return results
+        canonical = "".join(encode_result_line(result) + "\n" for result in results.values())
+        if canonical.encode("utf-8") == raw:
+            with self.results_path.open("ab") as handle:
+                os.fsync(handle.fileno())
+        else:
+            tmp = self.results_path.with_name(self.results_path.name + ".tmp")
+            with tmp.open("w", encoding="utf-8") as handle:
+                handle.write(canonical)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.results_path)
+            metrics.counter("store.compactions").inc()
         fsync_directory(self.results_path.parent)
-        metrics.counter("store.compactions").inc()
         metrics.gauge("store.resumed_results").set(len(results))
-        return len(results)
+        return results
 
     def num_recorded(self) -> int:
         return len(self.completed())

@@ -26,6 +26,7 @@ from repro.core.chips import ChipPopulation
 from repro.core.selection import FixedEpochPolicy
 from repro.experiments import ExperimentContext, smoke_preset
 from repro.nn.serialization import state_dicts_equal
+from repro.observability import metrics
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,36 @@ class TestStoreAndResume:
         assert second.last_report.executed == 0
         assert second.last_report.skipped == len(population)
         assert resumed.results == result.results
+
+    def test_clean_resume_leaves_results_file_untouched(
+        self, smoke_context, population, tmp_path, monkeypatch
+    ):
+        import repro.campaign.store as store_module
+
+        policy = FixedEpochPolicy(0.25)
+        engine = CampaignEngine(smoke_context, jobs=1, store_base=tmp_path)
+        engine.run(population, policy)
+        results_path = engine.last_report.store_dir / "results.jsonl"
+        before, data = results_path.stat(), results_path.read_bytes()
+
+        decoded = []
+        decode = store_module.decode_result_line
+
+        def counting_decode(line):
+            decoded.append(json.loads(line)["chip_id"])
+            return decode(line)
+
+        monkeypatch.setattr(store_module, "decode_result_line", counting_decode)
+        compactions = metrics.counter("store.compactions").value
+        resumed = CampaignEngine(smoke_context, jobs=1, store_base=tmp_path)
+        resumed.run(population, policy)
+        assert resumed.last_report.skipped == len(population)
+        # One parse per row: the resume scan reuses compact()'s results.
+        assert sorted(decoded) == sorted(chip.chip_id for chip in population)
+        after = results_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert results_path.read_bytes() == data
+        assert metrics.counter("store.compactions").value == compactions
 
     def test_killed_then_resumed_campaign_completes_without_duplicates(
         self, smoke_context, population, tmp_path
@@ -393,9 +424,71 @@ class TestStoreIntegrity:
         assert report.is_clean
         assert report.legacy_unchecksummed == len(results)
         # compact() canonicalizes legacy lines to checksummed ones.
-        assert store.compact() == len(results)
+        assert list(store.compact().values()) == results
         assert store.verify().legacy_unchecksummed == 0
         assert list(store.completed().values()) == results
+
+    def test_clean_compact_fsyncs_file_and_directory_in_place(
+        self, framework, population, tmp_path, monkeypatch
+    ):
+        store, results = self._store_with_results(framework, population, tmp_path)
+        before = store.results_path.stat()
+        synced = _record_fsyncs(monkeypatch)
+        assert list(store.compact().values()) == results
+        after = store.results_path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert before.st_ino in synced
+        assert store.directory.stat().st_ino in synced
+
+    def test_append_creating_results_file_fsyncs_directory(
+        self, framework, population, tmp_path, monkeypatch
+    ):
+        jobs = build_jobs(framework, population, FixedEpochPolicy(0.0))
+        results = [execute_job(framework, job) for job in jobs[:2]]
+        store = CampaignStore.open(tmp_path, "9" * 64, manifest={"policy": "p"})
+        synced = _record_fsyncs(monkeypatch)
+        store.append_many(results[:1])
+        assert synced == [store.results_path.stat().st_ino, store.directory.stat().st_ino]
+        # Later appends only extend an existing entry: the file alone.
+        del synced[:]
+        store.append_many(results[1:])
+        assert synced == [store.results_path.stat().st_ino]
+
+    @pytest.mark.parametrize(
+        "damage", ["torn-tail", "duplicate-row", "checksum-mismatch", "legacy"]
+    )
+    def test_damaged_store_is_rewritten_clean_by_compact(
+        self, framework, population, tmp_path, damage
+    ):
+        store, results = self._store_with_results(framework, population, tmp_path)
+        lines = store.results_path.read_text().splitlines()
+        expected = results
+        if damage == "torn-tail":
+            text = "\n".join(lines) + "\n" + lines[0][: len(lines[0]) // 2]
+        elif damage == "duplicate-row":
+            text = "\n".join(lines + [lines[1]]) + "\n"
+        elif damage == "checksum-mismatch":
+            row = json.loads(lines[0])
+            row["accuracy_after"] += 0.125
+            text = "\n".join([json.dumps(row, sort_keys=True)] + lines[1:]) + "\n"
+            expected = results[1:]
+        else:
+            text = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in results)
+        store.results_path.write_text(text)
+        inode = store.results_path.stat().st_ino
+        compactions = metrics.counter("store.compactions").value
+
+        assert list(store.compact().values()) == expected
+        assert store.results_path.stat().st_ino != inode
+        assert metrics.counter("store.compactions").value == compactions + 1
+        report = store.verify()
+        assert report.is_clean, report.describe()
+        assert report.legacy_unchecksummed == 0
+        assert report.valid == len(expected)
+        # A second compaction finds the rewritten file canonical.
+        inode = store.results_path.stat().st_ino
+        assert list(store.compact().values()) == expected
+        assert store.results_path.stat().st_ino == inode
 
     def test_torn_tail_repaired_before_next_append(
         self, framework, population, tmp_path
@@ -466,6 +559,19 @@ class TestStoreIntegrity:
     def test_verify_store_cli_without_stores(self, tmp_path, capsys):
         assert main(["verify-store", str(tmp_path / "nowhere")]) == 1
         assert "no campaign stores" in capsys.readouterr().out
+
+
+def _record_fsyncs(monkeypatch):
+    """Spy on ``os.fsync``: the inode of every file or directory synced, in order."""
+    synced = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.fstat(fd).st_ino)
+        return fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return synced
 
 
 class TestHeartbeat:
@@ -544,6 +650,15 @@ class TestFingerprint:
         smaller = ChipPopulation(population.chips[:2])
         fewer_jobs = build_jobs(framework, smaller, FixedEpochPolicy(0.25))
         assert base != campaign_fingerprint(preset, "fixed-0.25ep", 0.9, fewer_jobs)
+
+
+    def test_fingerprint_golden_digest(self, framework, population):
+        # Pinned so any change to job or fault-map serialization that would
+        # orphan existing stores fails here by name, not via a later resume.
+        jobs = build_jobs(framework, population, FixedEpochPolicy(0.25))
+        assert campaign_fingerprint(smoke_preset(), "fixed-0.25ep", 0.9, jobs) == (
+            "62d4f51409bc9bd42f70159c86fdc23464462ea33dd7b9e6d4293161da2a9f9b"
+        )
 
 
 class TestDiskCache:

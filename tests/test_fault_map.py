@@ -1,5 +1,7 @@
 """Tests for FaultMap construction, statistics and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,11 @@ class TestConstruction:
     def test_from_indices_out_of_range(self):
         with pytest.raises(IndexError):
             FaultMap.from_indices(2, 2, [(5, 0)])
+        # The error names the first offending pair in input order.
+        with pytest.raises(IndexError, match=r"\(2, -1\)"):
+            FaultMap.from_indices(4, 4, [(0, 0), (2, -1), (9, 9)])
+        with pytest.raises(IndexError, match=r"\(4, 0\)"):
+            FaultMap.from_indices(4, 4, [(1, 1), (4, 0), (0, 7)])
 
     def test_requires_2d_nonempty(self):
         with pytest.raises(ValueError):
@@ -108,11 +115,54 @@ class TestStatisticsAndViews:
         assert "FaultMap" in repr(FaultMap.none(4, 4))
 
 
+def _serialization_maps():
+    return {
+        "empty": FaultMap.none(64, 64),
+        "one-pe": FaultMap.from_indices(64, 64, [(17, 42)]),
+        "full": FaultMap(np.ones((64, 64), dtype=bool)),
+        "random-0.3": FaultMap.random(64, 64, 0.3, seed=11),
+    }
+
+
 class TestSerialization:
     def test_round_trip(self):
         fm = FaultMap.random(16, 8, 0.25, seed=3)
         restored = FaultMap.from_dict(fm.to_dict())
         assert restored == fm
+
+    @pytest.mark.parametrize("name", sorted(_serialization_maps()))
+    def test_to_dict_json_matches_per_coordinate_encoding(self, name):
+        # Store fingerprints hash this JSON, so it must stay byte-identical
+        # to the per-coordinate list the maps were first serialized with.
+        fm = _serialization_maps()[name]
+        reference = {
+            "rows": fm.rows,
+            "cols": fm.cols,
+            "faulty_indices": [[int(r), int(c)] for r, c in np.argwhere(fm.array)],
+        }
+        assert json.dumps(fm.to_dict()) == json.dumps(reference)
+        assert FaultMap.from_dict(fm.to_dict()) == fm
+        assert FaultMap.from_dict(json.loads(json.dumps(fm.to_dict()))) == fm
+
+    @pytest.mark.parametrize(
+        "indices", [[(0, 0), (1.5, 0)], [(1.0, 0)], [("1", 0)], [(True, False)]]
+    )
+    def test_from_indices_rejects_non_integer_coordinates(self, indices):
+        # Never truncated (1.5 -> 1) and never read as a boolean mask.
+        with pytest.raises(IndexError, match="integers"):
+            FaultMap.from_indices(4, 4, indices)
+
+    def test_from_indices_rejects_malformed_pairs(self):
+        with pytest.raises(ValueError):
+            FaultMap.from_indices(4, 4, [(0, 1, 2)])
+
+    def test_from_indices_accepts_generators_tuples_and_empty_input(self):
+        expected = FaultMap.from_array([[False, True], [True, False]])
+        assert FaultMap.from_indices(2, 2, ((r, 1 - r) for r in range(2))) == expected
+        assert FaultMap.from_indices(2, 2, ((0, 1), (1, 0))) == expected
+        assert FaultMap.from_indices(2, 2, np.array([[0, 1], [1, 0]])) == expected
+        assert FaultMap.from_indices(2, 2, []) == FaultMap.none(2, 2)
+        assert FaultMap.from_indices(2, 2, iter(())) == FaultMap.none(2, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,3 +193,27 @@ def test_column_permutation_preserves_fault_count(rows, cols, rate, seed):
     fm = FaultMap.random(rows, cols, rate, seed=seed)
     permutation = np.random.default_rng(seed).permutation(cols)
     assert fm.permuted_columns(permutation).num_faulty == fm.num_faulty
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=16),
+    cols=st.integers(min_value=1, max_value=16),
+    data=st.data(),
+)
+def test_from_indices_matches_per_coordinate_scatter(rows, cols, data):
+    """Property: the vectorized scatter equals setting one PE at a time,
+    for unordered coordinates with repeats."""
+    pairs = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=rows - 1),
+                st.integers(min_value=0, max_value=cols - 1),
+            ),
+            max_size=3 * rows * cols,
+        )
+    )
+    reference = np.zeros((rows, cols), dtype=bool)
+    for r, c in pairs:
+        reference[r, c] = True
+    assert FaultMap.from_indices(rows, cols, pairs) == FaultMap(reference)
