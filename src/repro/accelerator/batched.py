@@ -63,7 +63,10 @@ from repro.data.dataset import Dataset
 from repro.nn import functional as F
 from repro.nn.functional import (
     _bn_axes,
+    _output_windows,
+    _pad_nchw,
     _pair,
+    _scatter_windows,
     _bn_eval_forward,
     _bn_train_backward,
     _bn_train_forward,
@@ -850,8 +853,6 @@ def _stacked_im2col_t(
     same gather, same element order — produced in one copy straight into the
     stacked layout (no intermediate folded ``colsT`` + re-blocking pass).
     """
-    from repro.nn.functional import _pad_nchw
-
     kh, kw = kernel_size
     sh, sw = stride
     ph, pw = padding
@@ -866,15 +867,22 @@ def _stacked_im2col_t(
         )
     out_h = (padded_h - kh) // sh + 1
     out_w = (padded_w - kw) // sw + 1
+    stack = np.empty(
+        (num_chips, c * kh * kw, per_chip * out_h * out_w), dtype=x.dtype
+    )
+    dest = stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
+    if out_h * out_w < kh * kw:
+        # Fewer output positions than kernel offsets (see the loop-order
+        # rule in repro.nn.functional): gather one receptive field per copy.
+        split = x.reshape(num_chips, per_chip, c, padded_h, padded_w)
+        for oh, ow, rows, columns in _output_windows(out_h, out_w, kernel_size, stride):
+            dest[..., oh, ow] = split[:, :, :, rows, columns].transpose(0, 2, 3, 4, 1)
+        return stack, out_h, out_w
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     if sh != 1 or sw != 1:
         windows = windows[:, :, ::sh, ::sw, :, :]
     # (B*n, c, oh, ow, kh, kw) -> split the chip axis (still a view).
     split = windows.reshape((num_chips, per_chip) + windows.shape[1:])
-    stack = np.empty(
-        (num_chips, c * kh * kw, per_chip * out_h * out_w), dtype=x.dtype
-    )
-    dest = stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
     np.copyto(dest, split.transpose(0, 2, 5, 6, 1, 3, 4))
     return stack, out_h, out_w
 
@@ -900,13 +908,23 @@ def _stacked_col2im_t(
     total, c, h, w = x_shape
     per_chip = total // num_chips
     padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    dx = np.zeros((total, c, padded_h, padded_w), dtype=cols_stack.dtype)
-    dx_stack = dx.reshape(num_chips, per_chip, c, padded_h, padded_w)
     colsK = cols_stack.reshape(num_chips, c, kh, kw, per_chip, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            view = dx_stack[:, :, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
-            view += colsK[:, :, i, j].transpose(0, 2, 1, 3, 4)
+    if out_h * out_w < kh * kw:
+        # Output positions in reverse (see repro.nn.functional): fields
+        # (oh, ow, kh, kw, c, B, n) -> sums (padded_h, padded_w, c, B, n).
+        sums = _scatter_windows(
+            colsK.transpose(5, 6, 2, 3, 1, 0, 4), padded_h, padded_w, stride
+        )
+        dx = np.ascontiguousarray(sums.transpose(3, 4, 2, 0, 1)).reshape(
+            total, c, padded_h, padded_w
+        )
+    else:
+        dx = np.zeros((total, c, padded_h, padded_w), dtype=cols_stack.dtype)
+        dx_stack = dx.reshape(num_chips, per_chip, c, padded_h, padded_w)
+        for i in range(kh):
+            for j in range(kw):
+                view = dx_stack[:, :, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+                view += colsK[:, :, i, j].transpose(0, 2, 1, 3, 4)
     if ph or pw:
         dx = dx[:, :, ph:ph + h, pw:pw + w]
     return dx

@@ -301,10 +301,11 @@ class CampaignEngine:
         (default: classic FAT) — the fingerprint, the store and the planner
         all key on it, so each strategy of a sweep owns its own resumable
         store.  ``triage`` optionally shares pre-computed (or to-be-computed)
-        ``accuracy_before`` values across runs: missing chips are evaluated
-        in one batched pass and written back into the mapping, so a sweep can
-        hand the same dict to every strategy that measures its initial
-        accuracy under the same masks.
+        ``accuracy_before`` values across runs: missing chips are measured
+        (in one batched pass for single-job chunks, inside their chunk
+        otherwise) and every recorded chip's value is written back into the
+        mapping, so a sweep can hand the same dict to every strategy that
+        measures its initial accuracy under the same masks.
         """
         strategy = resolve_strategy(strategy)
         with trace.span(
@@ -389,24 +390,50 @@ class CampaignEngine:
         done = len(known)
 
         if pending:
-            # Batched triage: the initial accuracy checkpoint of every pending
-            # chip is B masked variants of the same pre-trained model, so one
-            # multi-chip sweep replaces |pending| serial test-set passes.  The
-            # values are numerically identical to the serial evaluation, and
-            # zero-epoch jobs become pure lookups for the executor.  A caller-
-            # supplied ``triage`` dict is consulted first and extended in
-            # place, so sweeps share one pass among same-mask strategies.
+            # Worker-aware planning: one big same-budget group still splits
+            # across all requested workers instead of starving them.  The
+            # plan ignores ``accuracy_before``, so it is made once, before
+            # triage, and triage only has to cover what the chunks need.
+            metrics.gauge("campaign.phase").set("plan")
+            with trace.span("campaign.plan", stage="chunk", chips=len(pending)):
+                plan = plan_job_chunks(
+                    pending, self.fat_batch, workers=self._plan_worker_hint()
+                )
+            metrics.counter("campaign.chunks_planned").inc(len(plan))
+            # Batched triage of the single-job chunks: their initial accuracy
+            # checkpoint is one masked variant of the pre-trained model each,
+            # so one multi-chip sweep replaces that many serial test-set
+            # passes, and zero-epoch jobs become pure lookups for the
+            # executor.  A multi-job chunk measures its chips' initial
+            # accuracy itself, in the eval pass its stacked trainer already
+            # runs, so those chips are deferred to their chunk.  A caller-
+            # supplied ``triage`` dict is consulted first; it is extended by
+            # this pass and by every recorded result, so sweeps share values
+            # among same-mask strategies.
             metrics.gauge("campaign.phase").set("triage")
-            with trace.span("campaign.triage", chips=len(pending)):
-                triage = triage if triage is not None else {}
-                missing = [job.to_chip() for job in pending if job.chip_id not in triage]
+            measured = triage if triage is not None else {}
+            missing = [
+                chunk[0].to_chip()
+                for chunk in plan
+                if len(chunk) == 1 and chunk[0].chip_id not in measured
+            ]
+            deferred = sum(
+                job.chip_id not in measured
+                for chunk in plan
+                if len(chunk) > 1
+                for job in chunk
+            )
+            with trace.span("campaign.triage", chips=len(missing), deferred=deferred):
                 if missing:
-                    triage.update(framework.triage_population(missing, strategy=strategy))
-                pending = [
-                    job.with_accuracy_before(triage[job.chip_id])
-                    if job.chip_id in triage
-                    else job
-                    for job in pending
+                    measured.update(framework.triage_population(missing, strategy=strategy))
+                plan = [
+                    [
+                        job.with_accuracy_before(measured[job.chip_id])
+                        if job.chip_id in measured
+                        else job
+                        for job in chunk
+                    ]
+                    for chunk in plan
                 ]
 
         executed = 0
@@ -430,6 +457,8 @@ class CampaignEngine:
             chips_counter.inc(len(results))
             for result in results:
                 known[result.chip_id] = result
+                if triage is not None:
+                    triage.setdefault(result.chip_id, result.accuracy_before)
                 done += 1
                 executed += 1
                 # Committed-chip instants are emitted parent-side *after* the
@@ -482,14 +511,6 @@ class CampaignEngine:
 
         failures: List[ChunkFailure] = []
         if pending:
-            # Worker-aware planning: one big same-budget group still splits
-            # across all requested workers instead of starving them.
-            metrics.gauge("campaign.phase").set("plan")
-            with trace.span("campaign.plan", stage="chunk", chips=len(pending)):
-                plan = plan_job_chunks(
-                    pending, self.fat_batch, workers=self._plan_worker_hint()
-                )
-            metrics.counter("campaign.chunks_planned").inc(len(plan))
             if self.chaos_spec is not None:
                 chaos_schedule = self.chaos_spec.schedule(len(plan))
                 logger.warning(
@@ -515,7 +536,8 @@ class CampaignEngine:
             # so non-retraining strategy campaigns always run inline.
             all_lookups = all(
                 job.epochs == 0 and job.accuracy_before is not None
-                for job in pending
+                for chunk in plan
+                for job in chunk
             )
             metrics.gauge("campaign.phase").set("execute")
             use_workers = self._coordinator is not None or (

@@ -56,8 +56,10 @@ class ChipJob:
     target_accuracy: float
     policy_name: str
     # Initial (pre-retraining) accuracy measured by the engine's batched
-    # triage pass; workers then skip the serial initial evaluation.  Not part
-    # of the campaign fingerprint: it is derived data, not work definition.
+    # triage pass (single-job chunks) or handed over from an earlier sweep
+    # arm; workers then skip that evaluation.  ``None`` in a multi-job chunk
+    # means its stacked trainer measures it.  Not part of the campaign
+    # fingerprint: it is derived data, not work definition.
     accuracy_before: Optional[float] = None
     # How the chip is mitigated before/instead of spending the budget (part
     # of the work definition, so part of the campaign fingerprint).
@@ -220,6 +222,7 @@ def execute_job_chunk(
         epochs=chunk_list[0].epochs,
         strategy=chunk_list[0].strategy,
         batched=len(chunk_list) > 1 and fat_batch > 1,
+        initial_eval=any(job.accuracy_before is None for job in chunk_list),
         attempt=attempt,
         prefetch=pipeline.prefetch,
         widened_eval=pipeline.widened_eval,

@@ -16,7 +16,7 @@ and the fault maps of the faulty chips, it
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -511,8 +511,9 @@ class ReduceFramework:
         trainer construction.
 
         ``accuracies_before`` injects pre-computed initial accuracies (from
-        :meth:`triage_population`) per chip id; missing chips are evaluated
-        in one batched pass before training.
+        :meth:`triage_population`) per chip id.  A missing one is measured
+        where the chip trains: as the initial checkpoint of its stacked
+        trainer, evaluated in one widened pass with the final checkpoint.
 
         ``strategy`` prepares each chip exactly like the serial path: a
         strategy's masks are just another per-chip mask set stacked into the
@@ -621,14 +622,17 @@ class ReduceFramework:
                 prefetch=pipeline.prefetch,
                 widened_eval=pipeline.widened_eval,
             )
+            # A missing initial accuracy is the trainer's step-0 checkpoint:
+            # recorded by ``train`` itself, it shares the deferred widened eval
+            # pass with the final checkpoint instead of costing its own pass.
             before = [before_map.get(chip.chip_id) for chip in chunk]
-            if any(value is None for value in before):
-                evaluated = trainer.evaluate()
+            include_initial = any(value is None for value in before)
+            histories = trainer.train(epochs, include_initial=include_initial)
+            if include_initial:
                 before = [
-                    value if value is not None else evaluated[index]
-                    for index, value in enumerate(before)
+                    value if value is not None else history.records[0].eval_accuracy
+                    for value, history in zip(before, histories)
                 ]
-            histories = trainer.train(epochs, include_initial=False)
             for position, index in enumerate(indices):
                 results[index] = _build_chip_result(
                     chunk[position], mask_sets[position], epochs,
@@ -649,11 +653,12 @@ class ReduceFramework:
     ) -> CampaignResult:
         """Run Step 3 for every chip under an arbitrary retraining policy.
 
-        The initial accuracy checkpoints of all chips are evaluated first in
-        batched multi-chip passes (:meth:`triage_population`); with
-        ``batched=True`` (the default) chips whose Step-2 budgets agree are
-        then retrained together through the stacked batched-FAT path, which
-        is bit-identical to the serial per-chip loop on this BLAS build.
+        With ``batched=True`` (the default) chips whose Step-2 budgets agree
+        are retrained together through the stacked batched-FAT path, which is
+        bit-identical to the serial per-chip loop on this BLAS build, and
+        measures their initial accuracy in its own eval pass.  The initial
+        accuracy checkpoints of every other chip are evaluated first in
+        batched multi-chip passes (:meth:`triage_population`).
         ``strategy`` selects the mitigation recipe applied before/instead of
         retraining (default: classic FAT).
         """
@@ -665,22 +670,27 @@ class ReduceFramework:
             )
             for chip in population
         }
-        triage = self.triage_population(population, strategy=strategy)
-        by_id: Dict[str, ChipRetrainingResult] = {}
+        batched_groups: List[Tuple[float, List[Chip]]] = []
         if batched:
             groups: Dict[float, List[Chip]] = {}
             for chip in population:
                 groups.setdefault(effective[chip.chip_id], []).append(chip)
-            for epochs, chips in groups.items():
-                if epochs > 0 and len(chips) > 1:
-                    for result in self.retrain_chips_batched(
-                        chips,
-                        epochs,
-                        accuracies_before=triage,
-                        fat_batch=fat_batch,
-                        strategy=strategy,
-                        ):
-                        by_id[result.chip_id] = result
+            batched_groups = [
+                (epochs, chips)
+                for epochs, chips in groups.items()
+                if epochs > 0 and len(chips) > 1
+            ]
+        batched_ids = {chip.chip_id for _, chips in batched_groups for chip in chips}
+        triage = self.triage_population(
+            [chip for chip in population if chip.chip_id not in batched_ids],
+            strategy=strategy,
+        )
+        by_id: Dict[str, ChipRetrainingResult] = {}
+        for epochs, chips in batched_groups:
+            for result in self.retrain_chips_batched(
+                chips, epochs, fat_batch=fat_batch, strategy=strategy
+            ):
+                by_id[result.chip_id] = result
         results: List[ChipRetrainingResult] = []
         for chip in population:
             result = by_id.get(chip.chip_id)

@@ -39,6 +39,46 @@ def _pad_nchw(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # im2col helpers
 # ---------------------------------------------------------------------------
+#
+# Every lowering loops over whichever is fewer: the kh*kw kernel offsets or
+# the out_h*out_w output positions.  A conv whose output is smaller than its
+# kernel (LeNet's conv2: 2x2 out of a 5x5 kernel) would otherwise copy runs of
+# out_w floats per offset.  Gathers are pure data movement, so their loop
+# order is free.  The scatter-adds stay bit-exact by walking positions in
+# reverse row-major order: an input element at padded row ``r`` receives the
+# add of offset ``i = r - oh * sh``, so descending ``oh`` (then ``ow``) visits
+# its contributions in ascending ``(i, j)`` order -- the order of the offset
+# loop -- and every op adds at most once into each element.  Where the
+# accumulator lives in memory does not change any sum.
+
+
+def _output_windows(
+    out_h: int, out_w: int, kernel_size: Tuple[int, int], stride: Tuple[int, int]
+):
+    """Yield ``(oh, ow, rows, columns)`` row-major: each output position and
+    the slices of its receptive field in the padded input."""
+    kh, kw = kernel_size
+    sh, sw = stride
+    for oh in range(out_h):
+        for ow in range(out_w):
+            yield oh, ow, slice(oh * sh, oh * sh + kh), slice(ow * sw, ow * sw + kw)
+
+
+def _scatter_windows(
+    fields: np.ndarray, padded_h: int, padded_w: int, stride: Tuple[int, int]
+) -> np.ndarray:
+    """Sum ``(out_h, out_w, kh, kw, ...)`` receptive-field gradients into a
+    ``(padded_h, padded_w, ...)`` accumulator, positions in reverse row-major
+    order.  Trailing axes are laid out so each add runs over one contiguous
+    block of the accumulator and of the (position-major) fields."""
+    fields = np.ascontiguousarray(fields)
+    out_h, out_w, kh, kw = fields.shape[:4]
+    sh, sw = stride
+    sums = np.zeros((padded_h, padded_w) + fields.shape[4:], dtype=fields.dtype)
+    for oh in reversed(range(out_h)):
+        for ow in reversed(range(out_w)):
+            sums[oh * sh:oh * sh + kh, ow * sw:ow * sw + kw] += fields[oh, ow]
+    return sums
 
 
 def im2col(
@@ -65,6 +105,11 @@ def im2col(
         )
     out_h = (padded_h - kh) // sh + 1
     out_w = (padded_w - kw) // sw + 1
+    if out_h * out_w < kh * kw:
+        cols = np.empty((n, out_h, out_w, c, kh, kw), dtype=x.dtype)
+        for oh, ow, rows, columns in _output_windows(out_h, out_w, kernel_size, stride):
+            cols[:, oh, ow] = x[:, :, rows, columns]
+        return cols.reshape(n * out_h * out_w, c * kh * kw), out_h, out_w
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     if sh != 1 or sw != 1:
         windows = windows[:, :, ::sh, ::sw, :, :]
@@ -108,6 +153,11 @@ def im2col_t(
         )
     out_h = (padded_h - kh) // sh + 1
     out_w = (padded_w - kw) // sw + 1
+    if out_h * out_w < kh * kw:
+        colsK = np.empty((c, kh, kw, n, out_h, out_w), dtype=x.dtype)
+        for oh, ow, rows, columns in _output_windows(out_h, out_w, kernel_size, stride):
+            colsK[..., oh, ow] = x[:, :, rows, columns].transpose(1, 2, 3, 0)
+        return colsK.reshape(c * kh * kw, n * out_h * out_w), out_h, out_w
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     if sh != 1 or sw != 1:
         windows = windows[:, :, ::sh, ::sw, :, :]
@@ -134,11 +184,17 @@ def col2im(
     ph, pw = padding
     n, c, h, w = x_shape
     padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    dx = np.zeros((n, c, padded_h, padded_w), dtype=cols.dtype)
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw] += cols[:, :, :, :, i, j]
+    cols = cols.reshape(n, out_h, out_w, c, kh, kw)
+    if out_h * out_w < kh * kw:
+        # (oh, ow, kh, kw, c, n) fields -> (padded_h, padded_w, c, n) sums.
+        sums = _scatter_windows(cols.transpose(1, 2, 4, 5, 3, 0), padded_h, padded_w, stride)
+        dx = np.ascontiguousarray(sums.transpose(3, 2, 0, 1))
+    else:
+        dx = np.zeros((n, c, padded_h, padded_w), dtype=cols.dtype)
+        cols = cols.transpose(0, 3, 1, 2, 4, 5)
+        for i in range(kh):
+            for j in range(kw):
+                dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw] += cols[:, :, :, :, i, j]
     if ph or pw:
         dx = dx[:, :, ph:ph + h, pw:pw + w]
     return dx
@@ -165,12 +221,17 @@ def col2im_t(
     ph, pw = padding
     n, c, h, w = x_shape
     padded_h, padded_w = h + 2 * ph, w + 2 * pw
-    dx = np.zeros((n, c, padded_h, padded_w), dtype=colsT.dtype)
     colsK = colsT.reshape(c, kh, kw, n, out_h, out_w)
-    for i in range(kh):
-        for j in range(kw):
-            view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
-            view += colsK[:, i, j].transpose(1, 0, 2, 3)
+    if out_h * out_w < kh * kw:
+        # (oh, ow, kh, kw, c, n) fields -> (padded_h, padded_w, c, n) sums.
+        sums = _scatter_windows(colsK.transpose(4, 5, 1, 2, 0, 3), padded_h, padded_w, stride)
+        dx = np.ascontiguousarray(sums.transpose(3, 2, 0, 1))
+    else:
+        dx = np.zeros((n, c, padded_h, padded_w), dtype=colsT.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                view = dx[:, :, i:i + sh * out_h:sh, j:j + sw * out_w:sw]
+                view += colsK[:, i, j].transpose(1, 0, 2, 3)
     if ph or pw:
         dx = dx[:, :, ph:ph + h, pw:pw + w]
     return dx

@@ -49,7 +49,9 @@ def load_checkpoint(path: PathLike) -> Dict[str, np.ndarray]:
             path = alternative
         else:
             raise FileNotFoundError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
+    # np.load leaks the file it opened itself when a torn zip makes it raise,
+    # so the handle is owned here.
+    with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
         return {name: archive[name].copy() for name in archive.files}
 
 

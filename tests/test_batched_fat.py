@@ -388,6 +388,44 @@ class TestFrameworkBatchedFat:
         batched = framework.retrain_chips_batched(chips, 0.5)
         assert batched == serial
 
+    @pytest.mark.parametrize("strategy", ["fat", "fam+fat"])
+    def test_initial_accuracy_from_trainer_matches_triage(
+        self, smoke_context, fat_population, monkeypatch, strategy
+    ):
+        from repro.accelerator.batched import BatchedFaultTrainer
+
+        framework = smoke_context.framework()
+        chips = list(fat_population)
+        triage = framework.triage_population(chips, strategy=strategy)
+        flags = []
+        original = BatchedFaultTrainer.train
+
+        def spy(self, epochs, eval_checkpoints=None, include_initial=True):
+            flags.append(include_initial)
+            return original(self, epochs, eval_checkpoints, include_initial)
+
+        monkeypatch.setattr(BatchedFaultTrainer, "train", spy)
+        fed = framework.retrain_chips_batched(
+            chips, 0.25, accuracies_before=triage, fat_batch=3, strategy=strategy
+        )
+        assert flags == [False, False]
+        measured = framework.retrain_chips_batched(
+            chips, 0.25, accuracies_before=None, fat_batch=3, strategy=strategy
+        )
+        assert flags[2:] == [True, True]
+        partial = framework.retrain_chips_batched(
+            chips,
+            0.25,
+            accuracies_before={chip.chip_id: triage[chip.chip_id] for chip in chips[::2]},
+            fat_batch=3,
+            strategy=strategy,
+        )
+        assert measured == fed
+        assert partial == fed
+        assert [result.accuracy_before for result in measured] == [
+            triage[chip.chip_id] for chip in chips
+        ]
+
     def test_chunking_is_transparent(self, smoke_context, fat_population):
         framework = smoke_context.framework()
         chips = list(fat_population)
@@ -400,6 +438,40 @@ class TestFrameworkBatchedFat:
         policy = FixedEpochPolicy(0.25)
         batched = framework.retrain_population(fat_population, policy, batched=True)
         serial = framework.retrain_population(fat_population, policy, batched=False)
+        assert batched.results == serial.results
+
+    def test_retrain_population_triages_only_unbatched_chips(
+        self, smoke_context, fat_population, monkeypatch
+    ):
+        from repro.core.reduce import ReduceFramework
+        from repro.core.selection import RetrainingPolicy
+
+        chips = list(fat_population)
+
+        class _TwoBudgets(RetrainingPolicy):
+            # Chips 0-2 share a budget (one batched group); chip 3 has its
+            # own (singleton, per-chip path) and chip 4 gets none.
+            name = "two-budgets"
+            budgets = {chips[0].chip_id: 0.25, chips[1].chip_id: 0.25,
+                       chips[2].chip_id: 0.25, chips[3].chip_id: 0.5,
+                       chips[4].chip_id: 0.0}
+
+            def epochs_for_chip(self, chip):
+                return self.budgets[chip.chip_id]
+
+        framework = smoke_context.framework()
+        serial = framework.retrain_population(fat_population, _TwoBudgets(), batched=False)
+        triaged = []
+        original = ReduceFramework.triage_population
+
+        def spy(self, population, *args, **kwargs):
+            population = list(population)
+            triaged.append([chip.chip_id for chip in population])
+            return original(self, population, *args, **kwargs)
+
+        monkeypatch.setattr(ReduceFramework, "triage_population", spy)
+        batched = framework.retrain_population(fat_population, _TwoBudgets())
+        assert triaged == [[chips[3].chip_id, chips[4].chip_id]]
         assert batched.results == serial.results
 
     def test_zero_epoch_chips_skip_training(self, smoke_context, fat_population):
@@ -483,6 +555,13 @@ class TestStrategyBatchedFat:
         assert by_id["sparse-0"].epochs_trained == 0.0
         assert by_id["sparse-0"].accuracy_after == framework.clean_accuracy
         assert by_id["dense-0"].epochs_trained == 0.25
+        # Fed triage values, the same call returns the same rows: bypassed
+        # chips and the FAT fallback's trainer agree with triage_population.
+        triage = framework.triage_population(chips, strategy="bypass+fat")
+        fed = framework.retrain_chips_batched(
+            chips, 0.25, accuracies_before=triage, strategy="bypass+fat"
+        )
+        assert fed == batched
 
     def test_engine_strategy_coalescing_matches_per_job(
         self, smoke_context, fat_population

@@ -175,6 +175,112 @@ class TestEngineEquivalence:
         assert planned_for == [2, 2]
 
 
+class TestFusedTriage:
+    """Triage covers only single-job chunks; a multi-job chunk measures its
+    chips' initial accuracy in its own stacked trainer, with the same values."""
+
+    @pytest.fixture(scope="class")
+    def five_chips(self, smoke_context):
+        preset = smoke_context.preset
+        return ChipPopulation.generate(
+            count=5,
+            rows=preset.array_rows,
+            cols=preset.array_cols,
+            fault_rates=(0.05, 0.25),
+            seed=123,
+        )
+
+    @staticmethod
+    def _spy_triage(monkeypatch):
+        from repro.core.reduce import ReduceFramework
+
+        triaged = []
+        original = ReduceFramework.triage_population
+
+        def spy(self, chips, *args, **kwargs):
+            chips = list(chips)
+            triaged.append([chip.chip_id for chip in chips])
+            return original(self, chips, *args, **kwargs)
+
+        monkeypatch.setattr(ReduceFramework, "triage_population", spy)
+        return triaged
+
+    @staticmethod
+    def _spy_include_initial(monkeypatch):
+        from repro.accelerator.batched import BatchedFaultTrainer
+
+        flags = []
+        original = BatchedFaultTrainer.train
+
+        def spy(self, epochs, eval_checkpoints=None, include_initial=True):
+            flags.append(include_initial)
+            return original(self, epochs, eval_checkpoints, include_initial)
+
+        monkeypatch.setattr(BatchedFaultTrainer, "train", spy)
+        return flags
+
+    def test_triage_receives_only_single_job_chunks(
+        self, smoke_context, five_chips, monkeypatch, tmp_path
+    ):
+        from repro.observability import merge_shards, trace
+
+        policy = FixedEpochPolicy(0.25)
+        framework = smoke_context.framework()
+        # One positive budget, 5 chips, fat_batch 2: chunks of 2, 2 and 1.
+        plan = plan_job_chunks(build_jobs(framework, five_chips, policy), 2)
+        assert [len(chunk) for chunk in plan] == [2, 2, 1]
+        singles = [chunk[0].chip_id for chunk in plan if len(chunk) == 1]
+        full_triage = framework.triage_population(five_chips)
+
+        triaged = self._spy_triage(monkeypatch)
+        trace.enable(tmp_path / "trace")
+        try:
+            fused = CampaignEngine(smoke_context, jobs=1, fat_batch=2).run(
+                five_chips, policy
+            )
+        finally:
+            trace.disable()
+        assert triaged == [singles]
+        events = merge_shards(tmp_path / "trace")
+        (triage_span,) = [e for e in events if e["name"] == "campaign.triage"]
+        assert triage_span["attrs"] == {"chips": 1, "deferred": 4}
+        chunk_spans = [e for e in events if e["name"] == "campaign.chunk"]
+        assert sorted(
+            (e["attrs"]["chips"], e["attrs"]["initial_eval"]) for e in chunk_spans
+        ) == [(1, False), (2, True), (2, True)]
+
+        fed = CampaignEngine(smoke_context, jobs=1, fat_batch=2).run(
+            five_chips, policy, triage=dict(full_triage)
+        )
+        assert triaged == [singles]
+        assert fed.results == fused.results
+        assert [r.accuracy_before for r in fused.results] == [
+            full_triage[chip.chip_id] for chip in five_chips
+        ]
+
+    def test_same_triage_key_sweep_arm_runs_no_initial_eval(
+        self, smoke_context, five_chips, monkeypatch
+    ):
+        from repro.campaign import run_strategy_sweep
+
+        policy = FixedEpochPolicy(0.25)
+        separate = {
+            name: CampaignEngine(smoke_context, jobs=1, fat_batch=2).run(
+                five_chips, policy, strategy=name
+            )
+            for name in ("fat", "fap+fat")
+        }
+        flags = self._spy_include_initial(monkeypatch)
+        sweep = run_strategy_sweep(
+            smoke_context, five_chips, policy, "fat,fap+fat", fat_batch=2
+        )
+        # Arm 1 measures the initial accuracy in both of its 2-chip chunks;
+        # arm 2 (same triage key) reads every value arm 1 wrote back.
+        assert flags == [True, True, False, False]
+        for name, campaign in separate.items():
+            assert sweep.campaigns[name].results == campaign.results
+
+
 class TestStoreAndResume:
     def test_store_written_and_rerun_skips_all_chips(self, smoke_context, population, tmp_path):
         policy = FixedEpochPolicy(0.25)

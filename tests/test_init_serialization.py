@@ -1,5 +1,9 @@
 """Tests for weight initialisers and checkpoint serialization."""
 
+import gc
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -74,6 +78,20 @@ class TestSerialization:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "missing.npz")
+
+    @pytest.mark.parametrize(
+        "corruption", [b"garbage", b"PK\x03\x04truncated-zip"], ids=["not-a-zip", "torn-zip"]
+    )
+    def test_unreadable_archive_closes_its_file(self, tmp_path, corruption):
+        path = tmp_path / "broken.npz"
+        path.write_bytes(corruption)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises((ValueError, OSError, zipfile.BadZipFile)):
+                load_checkpoint(path)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_save_raw_state_dict(self, tmp_path):
         state = {"a": np.arange(3.0), "b": np.ones((2, 2))}
